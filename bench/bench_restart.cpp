@@ -193,6 +193,11 @@ bool run_upgrade(bench::Report& report, size_t n) {
     const uint32_t rib_before =
         router.query_u32("rib", "rib", "1.0", "get_route_count", "count")
             .value_or(0);
+    // READY means the RIB acknowledged the feed; its one-way FIB pushes
+    // may still be in flight, so let the FIB catch up before sampling it.
+    const auto settle = std::chrono::steady_clock::now();
+    while (router.fib_size() < rib_before && ms_since(settle) < 60000)
+        loop.run_for(50ms);
     const uint64_t deletes_before =
         router.query_u64("fea", "fea", "1.0", "get_fib_churn", "deletes")
             .value_or(0);

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 CI: plain build + tests, then an address/undefined-sanitized
-# build + tests, then a chaos pass (the integration + chaos suites rerun
+# Tier-1 CI: plain build + tests, then the repo benchmark's self-test,
+# then an address/undefined-sanitized build + tests, then a chaos pass (the integration + chaos suites rerun
 # with seeded XRL fault injection — 5% drops and 0-10 ms delays on every
 # dispatch — so the reliable call contract is exercised on every run),
 # then a sanitized kill-chaos pass (component kills composed with the
@@ -18,6 +18,13 @@ echo "== plain build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "== repo benchmark self-test =="
+# perfbench compiles ../src on its own and calls RouteBatch::encode/decode
+# and the XRL handles directly, so an API change that breaks it must fail
+# here rather than in a later benchmark run. Runs all four workloads at a
+# small size (~25 s).
+python3 perfbench/selftest.py
 
 echo "== sanitized build (address,undefined) =="
 cmake -B build-asan -S . -DXRP_SANITIZE=address,undefined >/dev/null

@@ -135,7 +135,7 @@ private:
         auto flush = [&] {
             if (chunk.empty()) return;
             xrl::XrlArgs args;
-            args.add("protocol", protocol).add("routes", chunk.encode());
+            args.add("protocol", protocol).add("routes", chunk.encode_bytes());
             router_.call_oneway(
                 xrl::Xrl::generic(target_, "rib", "1.0", "add_routes_bulk",
                                   args),

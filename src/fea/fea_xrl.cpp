@@ -27,7 +27,10 @@ void bind_fea_xrl(Fea& fea, ipc::XrlRouter& router) {
         });
     router.add_handler(
         "fea/1.0/add_routes4_bulk", [&fea](const XrlArgs& in, XrlArgs&) {
-            auto batch = stage::RouteBatch4::decode(*in.get_text("routes"));
+            const auto& routes =
+                in.find("routes")->get<std::vector<uint8_t>>();
+            auto batch =
+                stage::RouteBatch4::decode(routes.data(), routes.size());
             if (!batch) return XrlError::command_failed("bad routes");
             fea.apply_batch(*batch);
             return XrlError::okay();

@@ -13,7 +13,7 @@ inline constexpr const char* kFeaIdl = R"(
 interface fea/1.0 {
     add_route4 ? net:ipv4net & nexthop:ipv4;
     add_route4_multipath ? net:ipv4net & nexthops:txt;
-    add_routes4_bulk ? routes:txt;
+    add_routes4_bulk ? routes:binary;
     delete_route4 ? net:ipv4net;
     lookup_route4 ? addr:ipv4 -> found:bool & net:ipv4net & nexthop:ipv4;
     get_fib_size -> count:u32;

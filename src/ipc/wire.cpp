@@ -1,30 +1,15 @@
 #include "ipc/wire.hpp"
 
-#include <cstring>
-
 namespace xrp::ipc {
 
 namespace {
 
-void put_u8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
-void put_u16(std::vector<uint8_t>& out, uint16_t v) {
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-}
-void put_u32(std::vector<uint8_t>& out, uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<uint8_t>& out, uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void put_str16(std::vector<uint8_t>& out, const std::string& s) {
-    put_u16(out, static_cast<uint16_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-void put_bytes32(std::vector<uint8_t>& out, const std::vector<uint8_t>& b) {
-    put_u32(out, static_cast<uint32_t>(b.size()));
-    out.insert(out.end(), b.begin(), b.end());
-}
+using net::put_bytes32;
+using net::put_str16;
+using net::put_u16;
+using net::put_u32;
+using net::put_u64;
+using net::put_u8;
 
 void encode_atom(const xrl::XrlAtom& a, std::vector<uint8_t>& out) {
     put_u8(out, static_cast<uint8_t>(a.type()));
@@ -65,7 +50,10 @@ void encode_atom(const xrl::XrlAtom& a, std::vector<uint8_t>& out) {
     std::visit(Visitor{out}, a.value());
 }
 
-std::optional<xrl::XrlAtom> decode_atom(WireReader& r) {
+// Smallest encoded atom: u8 type, u16 empty name, 1-byte (bool) value.
+constexpr size_t kMinAtomBytes = 4;
+
+std::optional<xrl::XrlAtom> decode_atom(WireReader& r, int depth) {
     auto type = r.u8();
     if (!type || *type > static_cast<uint8_t>(xrl::AtomType::kList))
         return std::nullopt;
@@ -93,11 +81,9 @@ std::optional<xrl::XrlAtom> decode_atom(WireReader& r) {
             return xrl::XrlAtom(std::move(*name), *v != 0);
         }
         case xrl::AtomType::kText: {
-            auto len = r.u32();
-            if (!len) return std::nullopt;
-            std::string s(*len, '\0');
-            if (!r.take(s.data(), *len)) return std::nullopt;
-            return xrl::XrlAtom(std::move(*name), std::move(s));
+            auto v = r.str32();
+            if (!v) return std::nullopt;
+            return xrl::XrlAtom(std::move(*name), std::move(*v));
         }
         case xrl::AtomType::kIPv4: {
             auto v = r.u32();
@@ -136,12 +122,16 @@ std::optional<xrl::XrlAtom> decode_atom(WireReader& r) {
             return xrl::XrlAtom(std::move(*name), std::move(*v));
         }
         case xrl::AtomType::kList: {
+            // Every atom takes at least kMinAtomBytes, so a count the
+            // remaining bytes cannot hold is malformed.
             auto count = r.u16();
-            if (!count) return std::nullopt;
+            if (!count || depth >= kMaxAtomDepth ||
+                *count > r.remaining() / kMinAtomBytes)
+                return std::nullopt;
             xrl::XrlAtomList items;
             items.reserve(*count);
             for (uint16_t i = 0; i < *count; ++i) {
-                auto item = decode_atom(r);
+                auto item = decode_atom(r, depth + 1);
                 if (!item) return std::nullopt;
                 items.push_back(std::move(*item));
             }
@@ -153,52 +143,6 @@ std::optional<xrl::XrlAtom> decode_atom(WireReader& r) {
 
 }  // namespace
 
-bool WireReader::take(void* out, size_t n) {
-    if (remaining() < n) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-}
-
-std::optional<uint8_t> WireReader::u8() {
-    uint8_t v;
-    if (!take(&v, 1)) return std::nullopt;
-    return v;
-}
-std::optional<uint16_t> WireReader::u16() {
-    uint8_t b[2];
-    if (!take(b, 2)) return std::nullopt;
-    return static_cast<uint16_t>(b[0] | (b[1] << 8));
-}
-std::optional<uint32_t> WireReader::u32() {
-    uint8_t b[4];
-    if (!take(b, 4)) return std::nullopt;
-    return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-           (static_cast<uint32_t>(b[2]) << 16) |
-           (static_cast<uint32_t>(b[3]) << 24);
-}
-std::optional<uint64_t> WireReader::u64() {
-    uint8_t b[8];
-    if (!take(b, 8)) return std::nullopt;
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-    return v;
-}
-std::optional<std::string> WireReader::str16() {
-    auto len = u16();
-    if (!len) return std::nullopt;
-    std::string s(*len, '\0');
-    if (!take(s.data(), *len)) return std::nullopt;
-    return s;
-}
-std::optional<std::vector<uint8_t>> WireReader::bytes32() {
-    auto len = u32();
-    if (!len || *len > remaining()) return std::nullopt;
-    std::vector<uint8_t> v(*len);
-    if (!take(v.data(), *len)) return std::nullopt;
-    return v;
-}
-
 void encode_args(const xrl::XrlArgs& args, std::vector<uint8_t>& out) {
     put_u16(out, static_cast<uint16_t>(args.size()));
     for (const auto& a : args.atoms()) encode_atom(a, out);
@@ -209,7 +153,7 @@ std::optional<xrl::XrlArgs> decode_args(WireReader& r) {
     if (!count) return std::nullopt;
     xrl::XrlArgs args;
     for (uint16_t i = 0; i < *count; ++i) {
-        auto a = decode_atom(r);
+        auto a = decode_atom(r, 0);
         if (!a) return std::nullopt;
         args.add(std::move(*a));
     }

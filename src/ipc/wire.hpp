@@ -15,6 +15,11 @@
 // Frames without the trailer decode exactly as before (backward
 // compatible); a request whose tail is neither empty nor a well-formed
 // trailer is malformed.
+//
+// Every frame is hostile input: decoding bounds each length field by the
+// bytes actually left before allocating, and list atoms nest at most
+// kMaxAtomDepth deep, so a frame costs memory and stack proportional to
+// its size, never to what it claims.
 #ifndef XRP_IPC_WIRE_HPP
 #define XRP_IPC_WIRE_HPP
 
@@ -23,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "net/le_bytes.hpp"
 #include "telemetry/trace.hpp"
 #include "xrl/args.hpp"
 #include "xrl/error.hpp"
@@ -33,6 +39,9 @@ enum class FrameKind : uint8_t { kRequest = 1, kResponse = 2 };
 
 // First byte of the optional request trace trailer.
 inline constexpr uint8_t kTraceMarker = 0x54;  // 'T'
+
+// Deepest list nesting a decoder accepts (a top-level atom is depth 0).
+inline constexpr int kMaxAtomDepth = 32;
 
 struct RequestFrame {
     uint32_t seq = 0;
@@ -55,24 +64,7 @@ void encode_request(const RequestFrame& f, std::vector<uint8_t>& out);
 void encode_response(const ResponseFrame& f, std::vector<uint8_t>& out);
 
 // Cursor-based decoding; returns nullopt on truncated or malformed input.
-class WireReader {
-public:
-    WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-    std::optional<uint8_t> u8();
-    std::optional<uint16_t> u16();
-    std::optional<uint32_t> u32();
-    std::optional<uint64_t> u64();
-    std::optional<std::string> str16();
-    std::optional<std::vector<uint8_t>> bytes32();
-    bool take(void* out, size_t n);
-    size_t remaining() const { return size_ - pos_; }
-
-private:
-    const uint8_t* data_;
-    size_t size_;
-    size_t pos_ = 0;
-};
+using WireReader = net::ByteReader;
 
 std::optional<xrl::XrlArgs> decode_args(WireReader& r);
 // Decodes a frame (without any transport length prefix). Returns the kind

@@ -47,7 +47,10 @@ void bind_rib_xrl(Rib& rib, ipc::XrlRouter& router) {
         });
     router.add_handler(
         "rib/1.0/add_routes_bulk", [&rib](const XrlArgs& in, XrlArgs&) {
-            auto batch = stage::RouteBatch4::decode(*in.get_text("routes"));
+            const auto& routes =
+                in.find("routes")->get<std::vector<uint8_t>>();
+            auto batch =
+                stage::RouteBatch4::decode(routes.data(), routes.size());
             if (!batch) return XrlError::command_failed("bad routes");
             if (!rib.push_batch(*in.get_text("protocol"), std::move(*batch)))
                 return XrlError::command_failed("unknown protocol");

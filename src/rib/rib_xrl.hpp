@@ -17,7 +17,7 @@ inline constexpr const char* kRibIdl = R"(
 interface rib/1.0 {
     add_route ? protocol:txt & net:ipv4net & nexthop:ipv4 & metric:u32;
     add_route_multipath ? protocol:txt & net:ipv4net & nexthops:txt & metric:u32;
-    add_routes_bulk ? protocol:txt & routes:txt;
+    add_routes_bulk ? protocol:txt & routes:binary;
     delete_route ? protocol:txt & net:ipv4net;
     lookup_route4 ? addr:ipv4
         -> found:bool & net:ipv4net & nexthop:ipv4 & metric:u32 & protocol:txt;
@@ -103,7 +103,7 @@ public:
         auto flush = [&] {
             if (chunk.empty()) return;
             xrl::XrlArgs args;
-            args.add("routes", chunk.encode());
+            args.add("routes", chunk.encode_bytes());
             router_.call_oneway(
                 xrl::Xrl::generic(target_, "fea", "1.0", "add_routes4_bulk",
                                   args),

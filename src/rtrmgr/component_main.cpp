@@ -125,7 +125,7 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
         ++state->batches_total;
         xrl::XrlArgs args;
         args.add("protocol", std::string("ebgp"))
-            .add("routes", batch.encode());
+            .add("routes", batch.encode_bytes());
         auto opts = ipc::CallOptions::reliable()
                         .with_deadline(std::chrono::seconds(60))
                         .with_attempt_timeout(std::chrono::seconds(5));

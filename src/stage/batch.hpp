@@ -23,17 +23,28 @@
 // transients), so it is only used at net-effect-safe boundaries — wire
 // senders framing a batch for a peer process — never inside a stage
 // that a consistency checker might be watching.
+//
+// Wire framing (`encode`/`decode`) is the one route-delta codec, carried
+// as the `routes:binary` atom of rib/1.0/add_routes_bulk and
+// fea/1.0/add_routes4_bulk. Little-endian, one record per entry, no
+// header:
+//   u8 op | addr | u8 prefix_len | u32 metric | u16 n | n x (addr, u32 weight)
+// op is 0 add, 1 delete, 2 replace; a replace appends the old half as
+//   u32 old_metric | u16 n | n x (addr, u32 weight)
+// addr is 4 bytes for IPv4 and 16 (hi, lo) for IPv6, so a scalar IPv4
+// add is 20 bytes.
 #ifndef XRP_STAGE_BATCH_HPP
 #define XRP_STAGE_BATCH_HPP
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "net/le_bytes.hpp"
 #include "stage/route.hpp"
 
 namespace xrp::stage {
@@ -53,9 +64,17 @@ struct BatchEntry {
 
 template <class A>
 class RouteBatch {
+    static constexpr size_t kAddrBytes = A::kAddrBits / 8;
+    static constexpr size_t kMemberBytes = kAddrBytes + 4;
+
 public:
     using RouteT = Route<A>;
     using EntryT = BatchEntry<A>;
+
+    // The smallest encoded entry: a scalar add or delete (20 bytes for
+    // IPv4, 44 for IPv6).
+    static constexpr size_t kMinEntryBytes = 1 + kAddrBytes + 1 + 4 + 2 +
+                                             kMemberBytes;
 
     RouteBatch() = default;
 
@@ -162,77 +181,130 @@ public:
     }
 
     // ---- wire framing ---------------------------------------------------
-    // One entry per line; fields space-separated (NexthopSet text uses
-    // '|' and '@', never spaces):
-    //   a <net> <nexthops> <metric>
-    //   d <net> <nexthops> <metric>
-    //   r <net> <nexthops> <metric> <old_nexthops> <old_metric>
-    // Protocol/admin-distance/source are batch-level context carried by
-    // the XRL verb, not per entry — a batch always comes from one origin.
+    // Little-endian binary, one record per entry and no header (see the
+    // file comment for the layout). Protocol/admin-distance/source are
+    // batch-level context carried by the XRL verb, not per entry — a
+    // batch always comes from one origin.
     std::string encode() const {
-        std::ostringstream os;
-        for (const auto& e : entries_) {
-            switch (e.op) {
-            case BatchOp::kAdd:
-                os << 'a';
-                break;
-            case BatchOp::kDelete:
-                os << 'd';
-                break;
-            case BatchOp::kReplace:
-                os << 'r';
-                break;
-            }
-            os << ' ' << e.route.net.str() << ' '
-               << e.route.nexthop_set().str() << ' ' << e.route.metric;
-            if (e.op == BatchOp::kReplace)
-                os << ' ' << e.old_route.nexthop_set().str() << ' '
-                   << e.old_route.metric;
-            os << '\n';
-        }
-        return os.str();
+        std::string out;
+        encode_to(out);
+        return out;
+    }
+    std::vector<uint8_t> encode_bytes() const {
+        std::vector<uint8_t> out;
+        encode_to(out);
+        return out;
     }
 
-    static std::optional<RouteBatch> decode(const std::string& text) {
+    // Rejects (nullopt) an unknown op, an out-of-range prefix length, an
+    // empty or over-long nexthop list, and truncation anywhere; empty
+    // input is the empty batch. Memory is bounded by the input size: no
+    // count is trusted beyond the bytes that could back it.
+    static std::optional<RouteBatch> decode(const uint8_t* data,
+                                            size_t size) {
+        net::ByteReader r(data, size);
         RouteBatch batch;
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line)) {
-            if (line.empty()) continue;
-            std::istringstream ls(line);
-            std::string op, net_s, nh_s;
-            uint32_t metric = 0;
-            if (!(ls >> op >> net_s >> nh_s >> metric)) return std::nullopt;
-            auto net = net::IpNet<A>::parse(net_s);
-            auto nhs = net::NexthopSet<A>::parse(nh_s);
-            if (!net || !nhs) return std::nullopt;
-            RouteT r;
-            r.net = *net;
-            r.metric = metric;
-            r.set_nexthops(*nhs);
-            if (op == "a") {
-                batch.add(std::move(r));
-            } else if (op == "d") {
-                batch.del(std::move(r));
-            } else if (op == "r") {
-                std::string old_nh_s;
-                uint32_t old_metric = 0;
-                if (!(ls >> old_nh_s >> old_metric)) return std::nullopt;
-                auto old_nhs = net::NexthopSet<A>::parse(old_nh_s);
-                if (!old_nhs) return std::nullopt;
-                RouteT old_r;
-                old_r.net = *net;
-                old_r.metric = old_metric;
-                old_r.set_nexthops(*old_nhs);
-                batch.replace(std::move(old_r), std::move(r));
-            } else {
+        batch.reserve(size / kMinEntryBytes);
+        while (r.remaining() != 0) {
+            auto op = r.u8();
+            if (!op || *op > static_cast<uint8_t>(BatchOp::kReplace))
                 return std::nullopt;
+            EntryT e;
+            e.op = static_cast<BatchOp>(*op);
+            auto addr = get_addr(r);
+            auto len = r.u8();
+            if (!addr || !len || *len > A::kAddrBits) return std::nullopt;
+            e.route.net = net::IpNet<A>(*addr, *len);
+            if (!get_body(r, e.route)) return std::nullopt;
+            if (e.op == BatchOp::kReplace) {
+                e.old_route.net = e.route.net;
+                if (!get_body(r, e.old_route)) return std::nullopt;
             }
+            batch.push(std::move(e));
         }
         return batch;
     }
+    static std::optional<RouteBatch> decode(std::string_view bytes) {
+        return decode(reinterpret_cast<const uint8_t*>(bytes.data()),
+                      bytes.size());
+    }
 
 private:
+    template <class Bytes>
+    void encode_to(Bytes& out) const {
+        out.reserve(out.size() + entries_.size() * kMinEntryBytes);
+        for (const auto& e : entries_) {
+            net::put_u8(out, static_cast<uint8_t>(e.op));
+            put_addr(out, e.route.net.masked_addr());
+            net::put_u8(out, static_cast<uint8_t>(e.route.net.prefix_len()));
+            put_body(out, e.route);
+            if (e.op == BatchOp::kReplace) put_body(out, e.old_route);
+        }
+    }
+
+    template <class Bytes>
+    static void put_addr(Bytes& out, const A& a) {
+        if constexpr (kAddrBytes == 4) {
+            net::put_u32(out, a.to_host());
+        } else {
+            net::put_u64(out, a.hi());
+            net::put_u64(out, a.lo());
+        }
+    }
+    static std::optional<A> get_addr(net::ByteReader& r) {
+        if constexpr (kAddrBytes == 4) {
+            auto v = r.u32();
+            if (!v) return std::nullopt;
+            return A(*v);
+        } else {
+            auto hi = r.u64();
+            auto lo = r.u64();
+            if (!hi || !lo) return std::nullopt;
+            return A(*hi, *lo);
+        }
+    }
+
+    // u32 metric | u16 n | n x (addr, u32 weight). A scalar route is one
+    // weight-1 member written straight from `nexthop`.
+    template <class Bytes>
+    static void put_body(Bytes& out, const RouteT& r) {
+        net::put_u32(out, r.metric);
+        if (r.nexthops.empty()) {
+            net::put_u16(out, 1);
+            put_addr(out, r.nexthop);
+            net::put_u32(out, 1);
+            return;
+        }
+        const auto& members = r.nexthops.members();
+        net::put_u16(out, static_cast<uint16_t>(members.size()));
+        for (const auto& m : members) {
+            put_addr(out, m.addr);
+            net::put_u32(out, m.weight);
+        }
+    }
+    // A 1-member list collapses to the scalar form (as set_nexthops
+    // does); larger lists go through NexthopSet::insert, which keeps its
+    // canonical order, duplicate and weight-0 rules.
+    static bool get_body(net::ByteReader& r, RouteT& route) {
+        auto metric = r.u32();
+        auto n = r.u16();
+        if (!metric || !n || *n == 0 || *n * kMemberBytes > r.remaining())
+            return false;
+        route.metric = *metric;
+        if (*n == 1) {
+            route.nexthop = *get_addr(r);
+            r.u32();  // its weight is dropped, as set_nexthops does
+            return true;
+        }
+        net::NexthopSet<A> set;
+        for (uint16_t i = 0; i < *n; ++i) {
+            const A addr = *get_addr(r);
+            set.insert(addr, *r.u32());
+        }
+        route.set_nexthops(set);
+        return true;
+    }
+
     std::vector<EntryT> entries_;
 };
 

@@ -9,6 +9,7 @@
 // drives add_routes_bulk / add_routes4_bulk across real XrlRouters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "bgp/attributes.hpp"
@@ -105,59 +106,237 @@ TEST(RouteBatch, CountsSplitReplacesIntoBothSides) {
 
 // ---- RouteBatch: wire framing ------------------------------------------
 
-TEST(RouteBatch, WireRoundtripPreservesEveryEntry) {
-    RouteBatch4 b;
-    Route4 scalar = mkroute("10.1.0.0/16", "192.0.2.9", 7);
-    b.add(scalar);
+namespace {
 
-    Route4 multi = mkroute("10.2.0.0/16", "192.0.2.1", 3);
-    net::NexthopSet4 set;
-    set.insert(IPv4::must_parse("192.0.2.1"));
-    set.insert(IPv4::must_parse("192.0.2.2"), 3);  // weighted member
-    multi.set_nexthops(set);
-    b.add(multi);
+template <class A>
+net::NexthopSet<A> nhset(std::initializer_list<std::pair<const char*, uint32_t>>
+                             members) {
+    net::NexthopSet<A> set;
+    for (const auto& [addr, weight] : members)
+        set.insert(A::must_parse(addr), weight);
+    return set;
+}
 
-    b.del(mkroute("10.3.0.0/16", "192.0.2.4", 11));
+template <class A>
+Route<A> wire_route(const char* net_s, const net::NexthopSet<A>& nhs,
+                    uint32_t metric) {
+    Route<A> r;
+    r.net = net::IpNet<A>::must_parse(net_s);
+    r.metric = metric;
+    r.set_nexthops(nhs);
+    return r;
+}
 
-    Route4 old_r = mkroute("10.4.0.0/16", "192.0.2.5", 2);
-    net::NexthopSet4 old_set;
-    old_set.insert(IPv4::must_parse("192.0.2.5"));
-    old_set.insert(IPv4::must_parse("192.0.2.6"));
-    old_r.set_nexthops(old_set);
-    Route4 new_r = mkroute("10.4.0.0/16", "192.0.2.7", 9);
-    b.replace(old_r, new_r);
+// One batch of every entry shape for family A: a scalar add, a weighted
+// multipath add, a delete, and two replaces whose halves differ in set
+// size (multipath -> scalar and scalar -> 3-way).
+template <class A>
+RouteBatch<A> every_shape(const char* const (&nets)[5],
+                          const char* const (&hops)[4]) {
+    RouteBatch<A> b;
+    b.add(wire_route<A>(nets[0], nhset<A>({{hops[0], 1}}), 7));
+    b.add(wire_route<A>(nets[1], nhset<A>({{hops[0], 1}, {hops[1], 3}}), 3));
+    b.del(wire_route<A>(nets[2], nhset<A>({{hops[2], 1}}), 11));
+    b.replace(wire_route<A>(nets[3], nhset<A>({{hops[0], 1}, {hops[1], 1}}), 2),
+              wire_route<A>(nets[3], nhset<A>({{hops[3], 1}}), 9));
+    b.replace(
+        wire_route<A>(nets[4], nhset<A>({{hops[2], 1}}), 4),
+        wire_route<A>(nets[4],
+                      nhset<A>({{hops[0], 2}, {hops[1], 5}, {hops[3], 1}}),
+                      0xffffffffu));
+    return b;
+}
 
-    auto dec = RouteBatch4::decode(b.encode());
+RouteBatch4 every_shape4() {
+    return every_shape<net::IPv4>(
+        {"10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16", "10.4.0.0/16",
+         "0.0.0.0/0"},
+        {"192.0.2.1", "192.0.2.2", "192.0.2.4", "192.0.2.7"});
+}
+
+RouteBatch6 every_shape6() {
+    return every_shape<net::IPv6>(
+        {"2001:db8:1::/48", "2001:db8:2::/48", "2001:db8:3::/128",
+         "2001:db8:4::/64", "::/0"},
+        {"fe80::1", "fe80::2", "2001:db8::4", "fe80::ffff:7"});
+}
+
+// The wire carries net + nexthops + metric of each half (protocol/admin
+// ride at batch level on the XRL verb), in the canonical scalar-collapsed
+// form, so those fields must come back exactly.
+template <class A>
+void expect_same_wire_fields(const BatchEntry<A>& got,
+                             const BatchEntry<A>& want, size_t i) {
+    EXPECT_EQ(got.op, want.op) << i;
+    EXPECT_EQ(got.route.net, want.route.net) << i;
+    EXPECT_EQ(got.route.metric, want.route.metric) << i;
+    EXPECT_EQ(got.route.nexthop, want.route.nexthop) << i;
+    EXPECT_EQ(got.route.nexthops, want.route.nexthops) << i;
+    if (want.op != BatchOp::kReplace) return;
+    EXPECT_EQ(got.old_route.net, want.route.net) << i;
+    EXPECT_EQ(got.old_route.metric, want.old_route.metric) << i;
+    EXPECT_EQ(got.old_route.nexthop, want.old_route.nexthop) << i;
+    EXPECT_EQ(got.old_route.nexthops, want.old_route.nexthops) << i;
+}
+
+template <class A>
+void expect_roundtrip(const RouteBatch<A>& b) {
+    auto dec = RouteBatch<A>::decode(b.encode());
     ASSERT_TRUE(dec.has_value());
     ASSERT_EQ(dec->size(), b.size());
-    for (size_t i = 0; i < b.size(); ++i) {
-        const auto& want = b.entries()[i];
-        const auto& got = dec->entries()[i];
-        EXPECT_EQ(got.op, want.op) << i;
-        EXPECT_EQ(got.route.net, want.route.net) << i;
-        EXPECT_EQ(got.route.metric, want.route.metric) << i;
-        // The wire carries net + nexthop set + metric (protocol/admin ride
-        // at batch level on the XRL verb).
-        EXPECT_EQ(got.route.nexthop_set(), want.route.nexthop_set()) << i;
-        if (want.op == BatchOp::kReplace) {
-            EXPECT_EQ(got.old_route.metric, want.old_route.metric);
-            EXPECT_EQ(got.old_route.nexthop_set(),
-                      want.old_route.nexthop_set());
+    for (size_t i = 0; i < b.size(); ++i)
+        expect_same_wire_fields(dec->entries()[i], b.entries()[i], i);
+}
+
+// Byte offset just past each entry of `b`'s encoding.
+template <class A>
+std::vector<size_t> entry_ends(const RouteBatch<A>& b) {
+    std::vector<size_t> ends;
+    size_t at = 0;
+    for (const auto& e : b.entries()) {
+        RouteBatch<A> one;
+        one.push(e);
+        at += one.encode().size();
+        ends.push_back(at);
+    }
+    return ends;
+}
+
+// Every strict prefix either is rejected or decodes to exactly the whole
+// entries it contains — never to a partial or invented entry.
+template <class A>
+void expect_prefixes_safe(const RouteBatch<A>& b) {
+    const std::string wire = b.encode();
+    const auto ends = entry_ends(b);
+    ASSERT_EQ(ends.back(), wire.size());
+    for (size_t len = 0; len < wire.size(); ++len) {
+        auto dec = RouteBatch<A>::decode(std::string_view(wire).substr(0, len));
+        const auto whole = static_cast<size_t>(
+            std::upper_bound(ends.begin(), ends.end(), len) - ends.begin());
+        const bool at_boundary =
+            len == 0 || (whole > 0 && ends[whole - 1] == len);
+        if (!at_boundary) {
+            EXPECT_FALSE(dec.has_value()) << "prefix " << len;
+            continue;
         }
+        ASSERT_TRUE(dec.has_value()) << "prefix " << len;
+        ASSERT_EQ(dec->size(), whole) << "prefix " << len;
+        for (size_t i = 0; i < whole; ++i)
+            expect_same_wire_fields(dec->entries()[i], b.entries()[i], i);
     }
 }
 
+}  // namespace
+
+TEST(RouteBatch, WireRoundtripPreservesEveryEntry) {
+    expect_roundtrip(every_shape4());
+    expect_roundtrip(every_shape6());
+}
+
+TEST(RouteBatch, ScalarEntryIsTwentyBytesV4) {
+    RouteBatch4 b;
+    b.add(mkroute("10.0.0.0/8"));
+    EXPECT_EQ(b.encode().size(), 20u);
+    EXPECT_EQ(RouteBatch4::kMinEntryBytes, 20u);
+    EXPECT_EQ(RouteBatch6::kMinEntryBytes, 44u);
+}
+
 TEST(RouteBatch, DecodeRejectsMalformedFrames) {
-    EXPECT_FALSE(RouteBatch4::decode("x 10.0.0.0/8 192.0.2.1 5\n"));
-    EXPECT_FALSE(RouteBatch4::decode("a notanet 192.0.2.1 5\n"));
-    EXPECT_FALSE(RouteBatch4::decode("a 10.0.0.0/8 not.an.addr 5\n"));
-    EXPECT_FALSE(RouteBatch4::decode("a 10.0.0.0/8 192.0.2.1\n"));
+    // A scalar v4 add: op | addr | len | metric | n=1 | addr | weight.
+    RouteBatch4 one;
+    one.add(mkroute("10.0.0.0/8", "192.0.2.1", 5));
+    const std::string good = one.encode();
+    ASSERT_EQ(good.size(), 20u);
+    ASSERT_TRUE(RouteBatch4::decode(good));
+    constexpr size_t kOp = 0, kLen = 5, kCount = 10;
+
+    std::string bad = good;
+    bad[kOp] = 3;  // ops are 0..2
+    EXPECT_FALSE(RouteBatch4::decode(bad));
+
+    bad = good;
+    bad[kLen] = 33;
+    EXPECT_FALSE(RouteBatch4::decode(bad));
+
+    // An empty nexthop list, with no member bytes after it.
+    bad = good.substr(0, kCount + 2);
+    bad[kCount] = 0;
+    EXPECT_FALSE(RouteBatch4::decode(bad));
+
+    bad = good;
+    bad[kCount] = 2;  // two members, bytes for one
+    EXPECT_FALSE(RouteBatch4::decode(bad));
+    bad[kCount] = 0;
+    bad[kCount + 1] = 0x10;  // 4096 members
+    EXPECT_FALSE(RouteBatch4::decode(bad));
+
+    RouteBatch6 one6;
+    one6.add(wire_route<net::IPv6>("2001:db8::/32",
+                                   nhset<net::IPv6>({{"fe80::1", 1}}), 5));
+    std::string bad6 = one6.encode();
+    ASSERT_EQ(bad6.size(), 44u);
+    ASSERT_TRUE(RouteBatch6::decode(bad6));
+    bad6[17] = static_cast<char>(129);  // v6 prefix length follows 16 bytes
+    EXPECT_FALSE(RouteBatch6::decode(bad6));
+    bad6[17] = static_cast<char>(128);
+    EXPECT_TRUE(RouteBatch6::decode(bad6));
+
     // A replace missing its old half.
-    EXPECT_FALSE(RouteBatch4::decode("r 10.0.0.0/8 192.0.2.1 5\n"));
-    // Empty text is the empty batch, not an error.
+    RouteBatch4 rep;
+    rep.replace(mkroute("10.0.0.0/8", "192.0.2.1", 1),
+                mkroute("10.0.0.0/8", "192.0.2.2", 2));
+    const std::string rep_wire = rep.encode();
+    EXPECT_FALSE(RouteBatch4::decode(
+        std::string_view(rep_wire).substr(0, good.size())));
+
+    // Empty input is the empty batch, not an error.
     auto empty = RouteBatch4::decode("");
     ASSERT_TRUE(empty.has_value());
     EXPECT_TRUE(empty->empty());
+}
+
+TEST(RouteBatch, StrictPrefixesDecodeOnlyWholeEntries) {
+    expect_prefixes_safe(every_shape4());
+    expect_prefixes_safe(every_shape6());
+}
+
+// Seeded mutation fuzz over a valid encoding: byte flips, inserts and
+// truncations. Decoding must never crash (ci.sh runs this under
+// ASan+UBSan) and never yield more entries than the bytes could hold.
+TEST(RouteBatch, DecodeSurvivesSeededMutations) {
+    RouteBatch4 base = every_shape4();
+    const RouteBatch4 more = every_shape4();
+    for (const auto& e : more.entries()) base.push(e);
+    const std::string valid = base.encode();
+    std::mt19937 rng(1777);
+    size_t accepted = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        std::string wire = valid;
+        const int edits = 1 + static_cast<int>(rng() % 4);
+        for (int k = 0; k < edits && !wire.empty(); ++k) {
+            const size_t at = rng() % wire.size();
+            switch (rng() % 3) {
+            case 0:
+                wire[at] = static_cast<char>(wire[at] ^ (1u << (rng() % 8)));
+                break;
+            case 1:
+                wire.insert(wire.begin() + static_cast<long>(at),
+                            static_cast<char>(rng()));
+                break;
+            default:
+                wire.resize(at);
+                break;
+            }
+        }
+        auto dec = RouteBatch4::decode(wire);
+        if (!dec) continue;
+        ++accepted;
+        ASSERT_LE(dec->size(), wire.size() / RouteBatch4::kMinEntryBytes)
+            << "iteration " << iter;
+    }
+    // Flips inside metrics and weights keep a frame valid: the fuzz must
+    // reach the decoder's accept path, not only its early rejections.
+    EXPECT_GT(accepted, 0u);
 }
 
 // ---- attribute interning ------------------------------------------------
@@ -667,34 +846,31 @@ TEST(BulkXrl, BatchFlowsThroughRibToFeaOverWire) {
     EXPECT_EQ(e->nexthop.str(), "192.0.2.11");
     EXPECT_EQ(fea.lookup(IPv4::must_parse("10.1.1.1")), nullptr);
 
-    // The bulk verb validates its inputs: unknown protocol and malformed
-    // frames are command failures, not crashes.
-    bool done = false, ok = true;
-    xrl::XrlArgs bad;
-    bad.add("protocol", std::string("carrier-pigeon"))
-        .add("routes", std::string("a 10.0.0.0/8 192.0.2.1 1\n"));
-    bgp_router.send(
-        xrl::Xrl::generic("rib", "rib", "1.0", "add_routes_bulk", bad),
-        [&](const xrl::XrlError& err, const xrl::XrlArgs&) {
-            ok = err.ok();
-            done = true;
-        });
-    plexus.loop.run_until([&] { return done; }, 5s);
-    ASSERT_TRUE(done);
-    EXPECT_FALSE(ok);
-
-    done = false;
-    ok = true;
-    xrl::XrlArgs garbled;
-    garbled.add("protocol", std::string("ebgp"))
-        .add("routes", std::string("a 10.0.0.0/8\n"));
-    bgp_router.send(
-        xrl::Xrl::generic("rib", "rib", "1.0", "add_routes_bulk", garbled),
-        [&](const xrl::XrlError& err, const xrl::XrlArgs&) {
-            ok = err.ok();
-            done = true;
-        });
-    plexus.loop.run_until([&] { return done; }, 5s);
-    ASSERT_TRUE(done);
-    EXPECT_FALSE(ok);
+    // The bulk verb validates its inputs: an unknown protocol and a
+    // truncated encoding are command failures, not crashes.
+    RouteBatch4 valid;
+    valid.add(mkroute("10.0.0.0/8"));
+    valid.add(mkroute("11.0.0.0/8"));
+    auto expect_command_failed = [&](const std::string& protocol,
+                                     std::vector<uint8_t> routes) {
+        bool done = false;
+        xrl::XrlError result;
+        xrl::XrlArgs args;
+        args.add("protocol", protocol).add("routes", std::move(routes));
+        bgp_router.send(
+            xrl::Xrl::generic("rib", "rib", "1.0", "add_routes_bulk", args),
+            [&](const xrl::XrlError& err, const xrl::XrlArgs&) {
+                result = err;
+                done = true;
+            });
+        plexus.loop.run_until([&] { return done; }, 5s);
+        ASSERT_TRUE(done);
+        EXPECT_EQ(result.code(), xrl::ErrorCode::kCommandFailed)
+            << result.str();
+    };
+    expect_command_failed("carrier-pigeon", valid.encode_bytes());
+    std::vector<uint8_t> truncated = valid.encode_bytes();
+    truncated.resize(truncated.size() - 3);
+    expect_command_failed("ebgp", std::move(truncated));
+    EXPECT_EQ(fea.fib().size(), 7u);
 }

@@ -5,6 +5,7 @@
 
 #include <chrono>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -144,6 +145,68 @@ TEST(Wire, TruncatedFramesRejected) {
         auto kind = decode_frame(buf.data(), cut, req, resp);
         EXPECT_FALSE(kind.has_value()) << "cut=" << cut;
     }
+}
+
+namespace {
+
+// Peak resident set of this process, in KiB.
+long max_rss_kb() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+// A request header with an empty method and one top-level atom to follow.
+std::vector<uint8_t> request_with_one_atom() {
+    std::vector<uint8_t> buf;
+    net::put_u8(buf, static_cast<uint8_t>(FrameKind::kRequest));
+    net::put_u32(buf, 1);   // seq
+    net::put_u16(buf, 0);   // method ""
+    net::put_u16(buf, 1);   // one arg
+    return buf;
+}
+
+}  // namespace
+
+// Two crafted frames well under kMaxFrameBytes: a length field claiming
+// 4 GB and lists nested 100k deep. Each must be rejected without
+// allocating what it claims or recursing as deep as it nests.
+TEST(Wire, HostileLengthFieldIsRejectedBeforeAllocating) {
+    std::vector<uint8_t> buf = request_with_one_atom();
+    net::put_u8(buf, static_cast<uint8_t>(xrl::AtomType::kText));
+    net::put_u16(buf, 0);  // name ""
+    net::put_u32(buf, 0xFFFFFFF0u);
+    ASSERT_EQ(buf.size(), 16u);
+    const long before = max_rss_kb();
+    RequestFrame req;
+    ResponseFrame resp;
+    EXPECT_FALSE(decode_frame(buf.data(), buf.size(), req, resp));
+    EXPECT_LT(max_rss_kb() - before, 64 * 1024);
+}
+
+TEST(Wire, DeeplyNestedListsAreRejectedWithoutDeepRecursion) {
+    std::vector<uint8_t> buf = request_with_one_atom();
+    for (int depth = 0; depth < 100000; ++depth) {
+        net::put_u8(buf, static_cast<uint8_t>(xrl::AtomType::kList));
+        net::put_u16(buf, 0);  // name ""
+        net::put_u16(buf, 1);  // one item: the next list
+    }
+    net::put_u8(buf, static_cast<uint8_t>(xrl::AtomType::kBool));
+    net::put_u16(buf, 0);
+    net::put_u8(buf, 1);
+    ASSERT_GT(buf.size(), 500000u);
+    RequestFrame req;
+    ResponseFrame resp;
+    EXPECT_FALSE(decode_frame(buf.data(), buf.size(), req, resp));
+
+    // Nesting up to the cap still decodes.
+    std::vector<uint8_t> ok = request_with_one_atom();
+    for (int depth = 0; depth < kMaxAtomDepth; ++depth) {
+        net::put_u8(ok, static_cast<uint8_t>(xrl::AtomType::kList));
+        net::put_u16(ok, 0);
+        net::put_u16(ok, depth + 1 == kMaxAtomDepth ? 0 : 1);
+    }
+    EXPECT_TRUE(decode_frame(ok.data(), ok.size(), req, resp));
 }
 
 TEST(Dispatcher, SyncDispatchWithValidation) {

@@ -153,6 +153,14 @@ struct ProcRouterFixture {
             specs[2].extra_args.push_back("--feed-routes=" +
                                           std::to_string(feed_routes));
         ok = router.start(specs) && router.wait_all_ready(60s);
+        // READY means the RIB acknowledged the whole feed; its one-way
+        // FIB pushes may still be in flight, so let the FIB catch up
+        // before a test reads it.
+        if (ok && feed_routes > 0)
+            ok = drive_until(
+                loop,
+                [&] { return router.fib_size() == feed_routes + 1; },
+                10000ms);
     }
     bool ok = false;
 
