@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <list>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/attributes.hpp"
@@ -216,41 +218,22 @@ public:
             emit(route, *e->metric);
             return;
         }
-        // The route will be parked; if an older version of this prefix is
+        // The route will be held; if an older version of this prefix is
         // downstream, retract it first so the stream stays consistent.
-        if (const BgpRoute* f = forwarded_.find(route.net)) {
-            BgpRoute old = *f;
-            forwarded_.erase(route.net);
-            this->forward_delete(old);
-        }
+        retract_forwarded(route.net);
         if (e != nullptr) {  // known-unreachable nexthop
             unreachable_.insert(route.net, route);
             return;
         }
-        // Cache miss: park the route and ask the RIB once per nexthop.
-        bool first = pending_.find(route.nexthop) == pending_.end();
-        pending_[route.nexthop].push_back(route);
-        if (first) query(route.nexthop);
+        park(route);  // cache miss: ask the RIB once per nexthop
     }
 
     void delete_route(const BgpRoute& route, RouteStage*) override {
-        // Still parked? Then downstream never saw it.
-        if (unreachable_.erase(route.net)) return;
-        auto pit = pending_.find(route.nexthop);
-        if (pit != pending_.end()) {
-            auto& v = pit->second;
-            for (auto it = v.begin(); it != v.end(); ++it) {
-                if (it->net == route.net) {
-                    v.erase(it);
-                    return;
-                }
-            }
-        }
-        if (const BgpRoute* f = forwarded_.find(route.net)) {
-            BgpRoute old = *f;
-            forwarded_.erase(route.net);
-            this->forward_delete(old);
-        }
+        // A held copy never reached downstream. A route that invalidate()
+        // re-parked may still have its earlier version downstream, which
+        // the retraction below takes back.
+        if (!unreachable_.erase(route.net)) unpark(route.net);
+        retract_forwarded(route.net);
     }
 
     std::optional<BgpRoute> lookup_route(const Net& net) const override {
@@ -261,7 +244,8 @@ public:
 
     // The RIB invalidated a previously-answered subnet (§5.2.1 "cache
     // invalidated" message): drop the cache entry and re-query for every
-    // forwarded route whose nexthop it covered.
+    // forwarded route whose nexthop it covered. Whatever the answers
+    // release synchronously leaves as one batch.
     void invalidate(const net::IPv4Net& valid_subnet) {
         cache_.erase(valid_subnet);
         std::vector<BgpRoute> affected;
@@ -272,20 +256,19 @@ public:
         unreachable_.for_each([&](const Net&, const BgpRoute& r) {
             if (valid_subnet.contains(r.nexthop)) affected.push_back(r);
         });
-        for (const BgpRoute& r : affected) {
-            unreachable_.erase(r.net);
-            BgpRoute original = r;
-            original.igp_metric = stage::kUnresolvedMetric;
-            bool first = pending_.find(original.nexthop) == pending_.end();
-            pending_[original.nexthop].push_back(original);
-            if (first) query(original.nexthop);
-        }
+        this->forward_collected([&] {
+            for (const BgpRoute& r : affected) {
+                unreachable_.erase(r.net);
+                BgpRoute original = r;
+                original.igp_metric = stage::kUnresolvedMetric;
+                park(original);
+            }
+        });
     }
 
     // Routes whose nexthop metric is cached resolve inline and ride the
-    // output batch; cache misses park as before and emit per-route from
-    // the asynchronous answer (the collector is long gone by then —
-    // forward_add falls back to the normal path).
+    // output batch; cache misses park, and the answer releases each
+    // nexthop's whole queue as one batch (see query()).
     void push_batch(stage::RouteBatch<net::IPv4>&& batch,
                     RouteStage* caller) override {
         this->collect_and_forward(std::move(batch), caller);
@@ -293,34 +276,70 @@ public:
 
     std::string name() const override { return name_; }
 
-    size_t pending_count() const {
-        size_t n = 0;
-        for (const auto& [nh, v] : pending_) n += v.size();
-        return n;
-    }
+    size_t pending_count() const { return parked_.size(); }
     size_t unreachable_count() const { return unreachable_.size(); }
 
 private:
     struct Entry {
         std::optional<uint32_t> metric;  // nullopt = unreachable
     };
+    // One nexthop's parked routes, in arrival order.
+    using ParkedQueue = std::list<BgpRoute>;
 
+    // Parks a route until its nexthop is answered; the first route parked
+    // on a nexthop sends the one query for it. A prefix is parked at most
+    // once, so a newer version replaces an older one.
+    void park(const BgpRoute& route) {
+        unpark(route.net);
+        auto [q, first] = pending_.try_emplace(route.nexthop);
+        parked_[route.net] = q->second.insert(q->second.end(), route);
+        if (first) query(route.nexthop);
+    }
+
+    // Drops a parked route in O(1) through the prefix index. Its queue
+    // stays, even if empty, until the answer arrives, so a later park on
+    // the same nexthop does not ask again.
+    bool unpark(const Net& net) {
+        auto it = parked_.find(net);
+        if (it == parked_.end()) return false;
+        pending_.find(it->second->nexthop)->second.erase(it->second);
+        parked_.erase(it);
+        return true;
+    }
+
+    // The answer releases the nexthop's whole queue, in arrival order, as
+    // one downstream batch (appended to the active collector when the
+    // answer comes synchronously inside push_batch).
     void query(net::IPv4 nexthop) {
         lookup_(nexthop, [this, nexthop](std::optional<uint32_t> metric,
                                          net::IPv4Net valid_subnet) {
             cache_.insert(valid_subnet, Entry{metric});
             auto it = pending_.find(nexthop);
             if (it == pending_.end()) return;
-            std::vector<BgpRoute> routes = std::move(it->second);
+            ParkedQueue routes = std::move(it->second);
             pending_.erase(it);
-            for (BgpRoute& r : routes) {
-                if (metric) {
-                    emit(r, *metric);
-                } else {
-                    unreachable_.insert(r.net, r);
-                }
-            }
+            for (const BgpRoute& r : routes) parked_.erase(r.net);
+            this->forward_collected(
+                [&] {
+                    for (const BgpRoute& r : routes) {
+                        if (metric) {
+                            emit(r, *metric);
+                        } else {
+                            retract_forwarded(r.net);
+                            unreachable_.insert(r.net, r);
+                        }
+                    }
+                },
+                routes.size());
         });
+    }
+
+    void retract_forwarded(const Net& net) {
+        if (const BgpRoute* f = forwarded_.find(net)) {
+            BgpRoute old = *f;
+            forwarded_.erase(net);
+            this->forward_delete(old);
+        }
     }
 
     void emit(const BgpRoute& route, uint32_t metric) {
@@ -344,7 +363,8 @@ private:
     net::RouteTrie<net::IPv4, Entry> cache_;     // by validity subnet
     net::RouteTrie<net::IPv4, BgpRoute> forwarded_;
     net::RouteTrie<net::IPv4, BgpRoute> unreachable_;
-    std::map<net::IPv4, std::vector<BgpRoute>> pending_;  // by nexthop
+    std::map<net::IPv4, ParkedQueue> pending_;              // by nexthop
+    std::unordered_map<Net, ParkedQueue::iterator> parked_;  // by prefix
 };
 
 }  // namespace xrp::bgp

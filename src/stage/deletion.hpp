@@ -11,6 +11,8 @@
 //     purges our copy, then forwards the add — downstream stays consistent
 //     and each route lives in at most one deletion stage;
 //   - lookups still see not-yet-deleted routes until their delete is sent.
+// Each slice's deletes go downstream as one batch, so a peer-down
+// reaches the RIB as one bulk XRL per slice, not one XRL per route.
 // When the table drains, the stage unplumbs itself and self-destructs via
 // the owner's completion callback. If the peer flaps repeatedly, multiple
 // deletion stages simply chain — none knows about the others.
@@ -98,19 +100,23 @@ public:
 
 private:
     bool slice() {
-        size_t n = 0;
-        while (n < per_slice_ && !iter_.at_end()) {
-            if (!iter_.valid()) {  // purged by an add while we were parked
-                ++iter_;
-                continue;
-            }
-            RouteT r = iter_.value();
-            Net key = iter_.key();
-            ++iter_;  // step off before erasing our own node
-            table_->erase(key);
-            this->forward_delete(r);
-            ++n;
-        }
+        this->forward_collected(
+            [this] {
+                size_t n = 0;
+                while (n < per_slice_ && !iter_.at_end()) {
+                    if (!iter_.valid()) {  // purged by an add while parked
+                        ++iter_;
+                        continue;
+                    }
+                    RouteT r = iter_.value();
+                    Net key = iter_.key();
+                    ++iter_;  // step off before erasing our own node
+                    table_->erase(key);
+                    this->forward_delete(r);
+                    ++n;
+                }
+            },
+            per_slice_);
         if (iter_.at_end() && table_->empty()) {
             finish();
             return false;  // task complete

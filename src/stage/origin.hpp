@@ -101,13 +101,24 @@ public:
     // must retract through the *old* bank and re-announce through the
     // *new* one, or routes the new bank rejects would linger downstream:
     //   origin.retract_all(); filter.set_filters(new); origin.announce_all();
+    // Each pass goes downstream as one batch.
     void retract_all() {
-        table_->for_each(
-            [this](const Net&, const RouteT& r) { this->forward_delete(r); });
+        this->forward_collected(
+            [this] {
+                table_->for_each([this](const Net&, const RouteT& r) {
+                    this->forward_delete(r);
+                });
+            },
+            table_->size());
     }
     void announce_all() {
-        table_->for_each(
-            [this](const Net&, const RouteT& r) { this->forward_add(r); });
+        this->forward_collected(
+            [this] {
+                table_->for_each([this](const Net&, const RouteT& r) {
+                    this->forward_add(r);
+                });
+            },
+            table_->size());
     }
     void repump() {
         retract_all();

@@ -105,22 +105,37 @@ protected:
         stage_metrics().deletes->inc();
         if (downstream_ != nullptr) downstream_->delete_route(r, this);
     }
-    // The workhorse behind most push_batch overrides: runs the batch
-    // through this stage's own per-route handlers (the base unroll calls
-    // the virtual add_route/delete_route) with forward_add/forward_delete
-    // redirected into one output batch, then hands that batch downstream
-    // as a single message. Per-route *processing* is untouched — semantics
-    // stay pinned to the unroll by construction — but the downstream
-    // pipeline traversal (virtual dispatch, telemetry, journaling per
-    // message) collapses to once per batch, which is what dominates at
-    // million-route scale.
-    void collect_and_forward(RouteBatch<A>&& batch, RouteStage* caller) {
+    // The one collector: runs fn() with forward_add/forward_delete
+    // redirected into a single output batch, then hands that batch
+    // downstream as one message. If a collector is already active (e.g.
+    // an asynchronous answer delivered synchronously inside push_batch),
+    // fn() appends to it and the outer collector forwards. Per-route
+    // *processing* is untouched, so downstream sees the stream the
+    // per-route calls would make; only the pipeline traversal (virtual
+    // dispatch, telemetry, per-route XRLs at the far end) collapses to
+    // once per batch. Stages that emit outside push_batch — a resolver
+    // answer, a deletion or stale-sweep slice, a re-filter pass — use it
+    // directly.
+    template <class F>
+    void forward_collected(F&& fn, size_t size_hint = 0) {
+        if (collect_ != nullptr) {
+            fn();
+            return;
+        }
         RouteBatch<A> out;
-        out.reserve(batch.size());
+        out.reserve(size_hint);
         collect_ = &out;
-        RouteStage<A>::push_batch(std::move(batch), caller);
+        fn();
         collect_ = nullptr;
         forward_batch(std::move(out));
+    }
+    // The workhorse behind most push_batch overrides: runs the batch
+    // through this stage's own per-route handlers (the base unroll calls
+    // the virtual add_route/delete_route) inside the collector.
+    void collect_and_forward(RouteBatch<A>&& batch, RouteStage* caller) {
+        const size_t n = batch.size();
+        forward_collected(
+            [&] { RouteStage<A>::push_batch(std::move(batch), caller); }, n);
     }
     std::optional<RouteT> lookup_upstream(const Net& net) const {
         stage_metrics().lookups->inc();

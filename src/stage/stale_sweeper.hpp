@@ -15,10 +15,10 @@
 // flinched), and the sweeper holds only a parked iterator into the
 // origin's trie. The trie's deferred-unlink iterators make concurrent
 // erases safe; entries that vanish under us show up as !valid() and are
-// skipped. Reaping goes through origin.delete_route so the origin's stale
-// accounting and downstream retraction stay on the one true path — the
-// delete then flows through this stage (a pure pass-through) like any
-// other message.
+// skipped. Reaping goes through the origin (one delete batch per slice
+// into origin.push_batch) so the origin's stale accounting and downstream
+// retraction stay on the one true path — the batch then flows through
+// this stage (a pure pass-through) like any other message.
 #ifndef XRP_STAGE_STALE_SWEEPER_HPP
 #define XRP_STAGE_STALE_SWEEPER_HPP
 
@@ -54,8 +54,8 @@ public:
     }
 
     // Pure pass-through: the origin upstream already holds the truth, so
-    // all three messages just flow. A delete we forward may be one we
-    // provoked via origin_.delete_route in slice() — same thing.
+    // all three messages just flow. A delete batch we forward may be one
+    // we provoked via origin_.push_batch in slice() — same thing.
     void add_route(const RouteT& route, RouteStage<A>*) override {
         this->forward_add(route);
     }
@@ -89,6 +89,9 @@ private:
     bool slice() {
         // The budget counts entries *examined*, not just reaped: a table
         // that is 99% fresh must not make one slice walk 100x its budget.
+        // The slice's stale routes are reaped as one delete batch, which
+        // the origin forwards (through us) as one message.
+        RouteBatch<A> reap;
         size_t n = 0;
         while (n < per_slice_ && !iter_.at_end()) {
             ++n;
@@ -96,13 +99,12 @@ private:
                 ++iter_;
                 continue;
             }
-            RouteT r = iter_.value();
-            ++iter_;  // step off before the erase below frees our node
-            if (origin_.route_is_stale(r)) {
-                origin_.delete_route(r);
-                ++swept_;
-            }
+            const RouteT& r = iter_.value();
+            if (origin_.route_is_stale(r)) reap.del(r);
+            ++iter_;
         }
+        swept_ += reap.size();
+        if (!reap.empty()) origin_.push_batch(std::move(reap));
         if (iter_.at_end()) {
             finish();
             return false;  // task complete

@@ -5,8 +5,11 @@
 // path: the same shuffled stream through both must produce bit-identical
 // final tables AND identical downstream message streams, including
 // multipath routes, a mid-stream origin death (DeletionStage), and a
-// graceful-restart resync + stale sweep. A bulk-XRL end-to-end test
-// drives add_routes_bulk / add_routes4_bulk across real XrlRouters.
+// graceful-restart resync + stale sweep. The emitters that act outside
+// push_batch (refilter passes, deletion and stale-sweep slices) are
+// pinned to one downstream batch each. Bulk-XRL end-to-end tests drive
+// add_routes_bulk / add_routes4_bulk across real XrlRouters and count
+// the XRLs a BGP full load and a peer-down cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,15 +19,19 @@
 #include "bgp/bgp_xrl.hpp"
 #include "ev/eventloop.hpp"
 #include "fea/fea_xrl.hpp"
+#include "harness.hpp"
 #include "ipc/router.hpp"
 #include "net/trie.hpp"
 #include "rib/rib_xrl.hpp"
+#include "sim/harness.hpp"
+#include "sim/routefeed.hpp"
 #include "stage/batch.hpp"
 #include "stage/cache.hpp"
 #include "stage/deletion.hpp"
 #include "stage/origin.hpp"
 #include "stage/sink.hpp"
 #include "stage/stale_sweeper.hpp"
+#include "stream_probe.hpp"
 
 using namespace xrp;
 using namespace xrp::stage;
@@ -644,6 +651,90 @@ TEST(BatchOracle, RandomStreamBatchEqualsPerRoute) {
     EXPECT_EQ(batched.origin.stale_count(), 0u);
 }
 
+// ---- emitters outside push_batch ----------------------------------------
+//
+// A refilter pass, a background deletion slice and a stale-sweep slice
+// each reach downstream as one batch carrying the stream the per-route
+// emission would have made.
+
+TEST(Collector, RefilterPassesAndBackgroundSlicesLeaveAsBatches) {
+    ev::VirtualClock clock;
+    ev::EventLoop loop{clock};
+    OriginStage<IPv4> origin{"peer"};
+    CacheStage<IPv4> checker{"check"};
+    tests::StreamProbe<IPv4> probe;
+    origin.set_downstream(&checker);
+    checker.set_upstream(&origin);
+    checker.set_downstream(&probe.sink);
+    probe.sink.set_upstream(&checker);
+
+    std::vector<Route4> held;  // trie order
+    for (uint32_t i = 0; i < 50; ++i)
+        origin.add_route(mkroute("10.0." + std::to_string(i) + ".0/24"));
+    origin.table().for_each(
+        [&](const IPv4Net&, const Route4& r) { held.push_back(r); });
+    auto expect_stream = [&](bool is_add, const std::vector<Route4>& want) {
+        ASSERT_EQ(probe.stream.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(probe.stream[i].first, is_add) << i;
+            EXPECT_EQ(probe.stream[i].second, want[i]) << i;
+        }
+    };
+
+    probe.reset();
+    origin.retract_all();
+    EXPECT_EQ(probe.batches, 1u);
+    EXPECT_EQ(probe.scalars, 0u);
+    expect_stream(false, held);
+
+    probe.reset();
+    origin.announce_all();
+    EXPECT_EQ(probe.batches, 1u);
+    EXPECT_EQ(probe.scalars, 0u);
+    expect_stream(true, held);
+
+    // Stale sweep in slices of 7 entries examined: 50 entries make 8
+    // slices, each holding at least one stale route.
+    origin.begin_refresh();
+    std::vector<Route4> stale;
+    for (size_t i = 0; i < held.size(); ++i) {
+        if (i % 3 == 0)
+            origin.add_route(held[i]);  // re-confirmed, silently
+        else
+            stale.push_back(held[i]);
+    }
+    probe.reset();
+    bool swept = false;
+    auto sweeper = std::make_unique<StaleSweeperStage<IPv4>>(
+        "sweep", origin, loop,
+        [&](StaleSweeperStage<IPv4>*) { swept = true; }, 7);
+    plumb_between<IPv4>(origin, *sweeper, checker);
+    loop.run_until([&] { return swept; }, 10s);
+    ASSERT_TRUE(swept);
+    EXPECT_EQ(probe.batches, 8u);
+    EXPECT_EQ(probe.scalars, 0u);
+    expect_stream(false, stale);
+
+    // Background deletion of the survivors in slices of 5 routes.
+    std::vector<Route4> survivors;
+    origin.table().for_each(
+        [&](const IPv4Net&, const Route4& r) { survivors.push_back(r); });
+    ASSERT_EQ(survivors.size(), 17u);
+    probe.reset();
+    bool drained = false;
+    auto del = std::make_unique<DeletionStage<IPv4>>(
+        "del", origin.detach_table(), loop,
+        [&](DeletionStage<IPv4>*) { drained = true; }, 5);
+    plumb_between<IPv4>(origin, *del, checker);
+    loop.run_until([&] { return drained; }, 10s);
+    ASSERT_TRUE(drained);
+    EXPECT_EQ(probe.batches, 4u);  // ceil(17 / 5)
+    EXPECT_EQ(probe.scalars, 0u);
+    expect_stream(false, survivors);
+    EXPECT_EQ(probe.sink.route_count(), 0u);
+    EXPECT_TRUE(checker.consistent()) << checker.violations().front();
+}
+
 // ---- the equivalence oracle (whole RIB) ---------------------------------
 //
 // Same idea one layer up: a mixed-protocol stream into two full RIBs —
@@ -873,4 +964,135 @@ TEST(BulkXrl, BatchFlowsThroughRibToFeaOverWire) {
     truncated.resize(truncated.size() - 3);
     expect_command_failed("ebgp", std::move(truncated));
     EXPECT_EQ(fea.fib().size(), 7u);
+}
+
+// ---- a BGP full load and a peer-down, counted in XRLs ----------------------
+//
+// BGP -> RIB -> FEA, each on its own XrlRouter talking stcp over
+// loopback, with a FeedPeer session into BGP. The feed's UPDATEs all
+// arrive before the RIB's reply to BGP's one register_interest crosses
+// the socket, so every route parks in the Nexthop Resolver; the answer
+// must release them into the bulk path, not route by route.
+
+namespace {
+
+struct BgpRibFea {
+    static constexpr uint32_t kFeedAs = 65001;
+
+    ev::RealClock clock;
+    ipc::Plexus plexus{clock};
+    fea::Fea fea{plexus.loop};
+    ipc::XrlRouter fea_router{plexus, "fea", true};
+    ipc::XrlRouter rib_router{plexus, "rib", true};
+    rib::Rib rib{plexus.loop, std::make_unique<rib::XrlFeaHandle>(rib_router)};
+    ipc::XrlRouter bgp_router{plexus, "bgp", true};
+    std::unique_ptr<bgp::BgpProcess> bgp;
+    std::unique_ptr<sim::FeedPeer> feed;
+    const IPv4 feed_addr = IPv4::must_parse("192.0.2.9");
+
+    BgpRibFea() {
+        fea.interfaces().add_interface("eth0", IPv4::must_parse("192.0.2.1"),
+                                       24);
+        fea::bind_fea_xrl(fea, fea_router);
+        fea_router.enable_tcp();
+        EXPECT_TRUE(fea_router.finalize());
+        rib::bind_rib_xrl(rib, rib_router);
+        rib_router.enable_tcp();
+        EXPECT_TRUE(rib_router.finalize());
+        rib_router.set_preferred_family("stcp");
+        // The covering IGP route for the feed's nexthop.
+        rib.add_route("connected", IPv4Net::must_parse("192.0.2.0/24"),
+                      IPv4::must_parse("192.0.2.1"), 0);
+
+        bgp::BgpProcess::Config cfg;
+        cfg.local_as = 65000;
+        cfg.bgp_id = IPv4::must_parse("192.0.2.250");
+        bgp = std::make_unique<bgp::BgpProcess>(
+            plexus.loop, cfg, std::make_unique<bgp::XrlRibHandle>(bgp_router));
+        bgp::bind_bgp_xrl(*bgp, bgp_router);
+        bgp_router.enable_tcp();
+        EXPECT_TRUE(bgp_router.finalize());
+        bgp_router.set_preferred_family("stcp");
+        feed = sim::attach_feed_peer(plexus.loop, *bgp, feed_addr, kFeedAs,
+                                     ev::Duration::zero())
+                   .first;
+        plexus.loop.run_until([&] { return feed->established(); }, 5s);
+        EXPECT_TRUE(feed->established());
+    }
+
+    // Sends `routes` prefixes in 24-prefix UPDATEs back to back and waits
+    // until all are in the FIB; returns the prefixes.
+    std::vector<IPv4Net> load(size_t routes) {
+        sim::RouteFeedConfig fc;
+        fc.route_count = routes;
+        fc.seed = 7;
+        fc.prefixes_per_update = 24;
+        fc.first_hop_as = kFeedAs;
+        fc.nexthop = feed_addr;
+        std::vector<IPv4Net> nets;
+        for (const auto& u : sim::generate_feed(fc)) {
+            nets.insert(nets.end(), u.nlri.begin(), u.nlri.end());
+            feed->send(u);
+        }
+        const size_t want = fea.fib().size() + nets.size();
+        plexus.loop.run_until([&] { return fea.fib().size() == want; }, 60s);
+        return nets;
+    }
+
+    static uint64_t calls(const std::string& method) {
+        return harness::ctr(
+            telemetry::metric_key("xrl_calls_total", {{"method", method}}));
+    }
+};
+
+constexpr const char* kRibScalarAdd = "rib/1.0/add_route_multipath";
+constexpr const char* kRibScalarDelete = "rib/1.0/delete_route";
+constexpr const char* kRibBulk = "rib/1.0/add_routes_bulk";
+constexpr const char* kFeaBulk = "fea/1.0/add_routes4_bulk";
+
+}  // namespace
+
+TEST(BulkXrl, ParkedFullLoadCrossesEachHopInBulk) {
+    BgpRibFea s;
+    ASSERT_TRUE(s.feed->established());
+    const uint64_t scalar0 = BgpRibFea::calls(kRibScalarAdd);
+    const uint64_t rib0 = BgpRibFea::calls(kRibBulk);
+    const uint64_t fea0 = BgpRibFea::calls(kFeaBulk);
+
+    const size_t n = 20000;
+    const auto nets = s.load(n);
+    ASSERT_EQ(nets.size(), n);
+    ASSERT_EQ(s.fea.fib().size(), n + 1);  // + the connected route
+    for (const auto& net : nets) {
+        const fea::FibEntry* e = s.fea.fib().find_exact(net);
+        ASSERT_NE(e, nullptr) << net.str();
+        EXPECT_EQ(e->nexthop, s.feed_addr) << net.str();
+    }
+
+    const uint64_t chunks = (n + 8191) / 8192;
+    EXPECT_EQ(BgpRibFea::calls(kRibScalarAdd) - scalar0, 0u);
+    EXPECT_LE(BgpRibFea::calls(kRibBulk) - rib0, chunks);
+    EXPECT_LE(BgpRibFea::calls(kFeaBulk) - fea0, chunks);
+}
+
+TEST(BulkXrl, PeerDownReachesTheRibAsOneBulkXrlPerSlice) {
+    BgpRibFea s;
+    ASSERT_TRUE(s.feed->established());
+    const size_t n = 2000;
+    ASSERT_EQ(s.load(n).size(), n);
+    ASSERT_EQ(s.fea.fib().size(), n + 1);
+
+    const uint64_t scalar0 = BgpRibFea::calls(kRibScalarDelete);
+    const uint64_t rib0 = BgpRibFea::calls(kRibBulk);
+    s.feed->session().stop();  // Cease: BGP hands the table to a DeletionStage
+    s.plexus.loop.run_until([&] { return s.fea.fib().size() == 1; }, 30s);
+    ASSERT_EQ(s.fea.fib().size(), 1u);
+    EXPECT_NE(s.fea.fib().find_exact(IPv4Net::must_parse("192.0.2.0/24")),
+              nullptr);
+
+    const size_t slices =
+        (n + s.bgp->config().routes_per_slice - 1) /
+        s.bgp->config().routes_per_slice;
+    EXPECT_EQ(BgpRibFea::calls(kRibScalarDelete) - scalar0, 0u);
+    EXPECT_LE(BgpRibFea::calls(kRibBulk) - rib0, slices);
 }

@@ -1,6 +1,7 @@
 // Focused tests for the BGP pipeline stages: DecisionStage consistency
 // under random multi-peer churn (checked by the §5.1 CacheStage),
-// NexthopResolver queueing/invalidation behaviour, and DampingStage unit
+// NexthopResolver queueing/invalidation behaviour (including that an
+// answer releases its parked routes as one batch), and DampingStage unit
 // behaviour (decay math, suppression state machine).
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "stage/cache.hpp"
 #include "stage/origin.hpp"
 #include "stage/sink.hpp"
+#include "stream_probe.hpp"
 
 using namespace xrp;
 using namespace xrp::bgp;
@@ -20,6 +22,7 @@ using net::IPv4Net;
 using stage::CacheStage;
 using stage::OriginStage;
 using stage::SinkStage;
+using tests::StreamProbe;
 
 namespace {
 
@@ -199,6 +202,178 @@ TEST(NexthopResolver, UnreachableRoutesReleasedByInvalidation) {
     EXPECT_EQ(sink.route_count(), 1u);
     EXPECT_EQ(sink.lookup_route(net)->igp_metric, 9u);
     EXPECT_EQ(resolver.unreachable_count(), 0u);
+}
+
+namespace {
+
+// A resolver whose RIB queries the test answers by hand.
+struct ManualResolver {
+    std::vector<std::pair<IPv4, NexthopResolverStage::AnswerCallback>> asked;
+    NexthopResolverStage resolver{
+        "nh", [this](IPv4 nh, NexthopResolverStage::AnswerCallback answer) {
+            asked.emplace_back(nh, std::move(answer));
+        }};
+
+    void answer(size_t i, std::optional<uint32_t> metric) {
+        asked.at(i).second(metric, IPv4Net(asked.at(i).first, 24));
+    }
+};
+
+IPv4Net nth_net(uint32_t i) { return IPv4Net(IPv4((10u << 24) | (i << 8)), 24); }
+
+BgpRoute resolved(BgpRoute r, uint32_t metric) {
+    r.igp_metric = metric;
+    return r;
+}
+
+}  // namespace
+
+TEST(NexthopResolver, AnswerReleasesParkedRoutesAsOneBatch) {
+    ManualResolver m;
+    CacheStage<IPv4> check("check");
+    StreamProbe<IPv4> probe;
+    m.resolver.set_downstream(&check);
+    check.set_upstream(&m.resolver);
+    check.set_downstream(&probe.sink);
+    probe.sink.set_upstream(&check);
+
+    // Park 1000 routes on one nexthop. While they wait, withdraw every
+    // tenth and implicitly replace every seventh (delete(old) then
+    // add(new), as the origin says it). `expected` models the per-route
+    // release: the survivors in the order they were last parked.
+    const uint32_t n = 1000;
+    std::vector<BgpRoute> expected;
+    auto drop = [&](const IPv4Net& net) {
+        std::erase_if(expected, [&](const BgpRoute& r) { return r.net == net; });
+    };
+    for (uint32_t i = 0; i < n; ++i) {
+        expected.push_back(mkroute(nth_net(i), 100, 7));
+        m.resolver.add_route(expected.back(), nullptr);
+    }
+    for (uint32_t i = 0; i < n; i += 10) {
+        m.resolver.delete_route(mkroute(nth_net(i), 100, 7), nullptr);
+        drop(nth_net(i));
+    }
+    for (uint32_t i = 3; i < n; i += 7) {
+        if (i % 10 == 0) continue;
+        m.resolver.delete_route(mkroute(nth_net(i), 100, 7), nullptr);
+        drop(nth_net(i));
+        expected.push_back(mkroute(nth_net(i), 200, 7));
+        m.resolver.add_route(expected.back(), nullptr);
+    }
+    ASSERT_EQ(m.asked.size(), 1u);
+    EXPECT_EQ(m.resolver.pending_count(), expected.size());
+    EXPECT_TRUE(probe.stream.empty());
+
+    m.answer(0, 42);
+    EXPECT_EQ(probe.batches, 1u);
+    EXPECT_EQ(probe.scalars, 0u);
+    ASSERT_EQ(probe.stream.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_TRUE(probe.stream[i].first) << i;
+        ASSERT_EQ(probe.stream[i].second, resolved(expected[i], 42))
+            << "entry " << i << " " << expected[i].net.str();
+    }
+    EXPECT_EQ(m.resolver.pending_count(), 0u);
+    EXPECT_TRUE(check.consistent()) << check.violations().front();
+}
+
+TEST(NexthopResolver, SynchronousAnswerInsidePushBatchRidesTheOuterBatch) {
+    // The RIB may answer before register_interest returns. Inside
+    // push_batch that answer must append to the batch being collected,
+    // not start a second downstream message.
+    int queries = 0;
+    NexthopResolverStage resolver(
+        "nh", [&](IPv4 nh, NexthopResolverStage::AnswerCallback answer) {
+            ++queries;
+            answer(5, IPv4Net(nh, 32));
+        });
+    StreamProbe<IPv4> probe;
+    resolver.set_downstream(&probe.sink);
+    probe.sink.set_upstream(&resolver);
+
+    stage::RouteBatch<IPv4> batch;
+    std::vector<BgpRoute> sent;
+    for (uint32_t i = 0; i < 30; ++i) {
+        sent.push_back(mkroute(nth_net(i), 100, 1 + i % 3));  // 3 nexthops
+        batch.add(sent.back());
+    }
+    resolver.push_batch(std::move(batch), nullptr);
+    EXPECT_EQ(queries, 3);
+    EXPECT_EQ(probe.batches, 1u);
+    EXPECT_EQ(probe.scalars, 0u);
+    ASSERT_EQ(probe.stream.size(), sent.size());
+    for (size_t i = 0; i < sent.size(); ++i) {
+        EXPECT_TRUE(probe.stream[i].first);
+        EXPECT_EQ(probe.stream[i].second, resolved(sent[i], 5)) << i;
+    }
+    EXPECT_EQ(resolver.pending_count(), 0u);
+}
+
+TEST(NexthopResolver, WithdrawingHalfOfManyParkedRoutes) {
+    // Parking is the normal full-table path, so withdrawing a parked
+    // route goes through the prefix index rather than scanning the
+    // nexthop's queue.
+    ManualResolver m;
+    CacheStage<IPv4> check("check");
+    SinkStage<IPv4> sink("sink");
+    m.resolver.set_downstream(&check);
+    check.set_upstream(&m.resolver);
+    check.set_downstream(&sink);
+    sink.set_upstream(&check);
+
+    const uint32_t n = 50000;
+    for (uint32_t i = 0; i < n; ++i)
+        m.resolver.add_route(mkroute(nth_net(i), 100, 7), nullptr);
+    for (uint32_t i = 0; i < n; i += 2)
+        m.resolver.delete_route(mkroute(nth_net(i), 100, 7), nullptr);
+    EXPECT_EQ(m.resolver.pending_count(), n / 2);
+    EXPECT_EQ(sink.route_count(), 0u);
+
+    m.answer(0, 9);
+    EXPECT_EQ(sink.route_count(), n / 2);
+    EXPECT_EQ(m.resolver.pending_count(), 0u);
+    for (uint32_t i = 0; i < n; ++i) {
+        auto got = sink.lookup_route(nth_net(i));
+        ASSERT_EQ(got.has_value(), i % 2 == 1) << nth_net(i).str();
+        if (got) EXPECT_EQ(got->igp_metric, 9u);
+    }
+    EXPECT_TRUE(check.consistent()) << check.violations().front();
+}
+
+TEST(NexthopResolver, InvalidatedRouteLeavesDownstreamWhenWithdrawnOrUnreachable) {
+    // invalidate() re-parks forwarded routes while their earlier version
+    // stays downstream. Withdrawing such a route, or learning that its
+    // nexthop is now unreachable, must retract that version.
+    ManualResolver m;
+    CacheStage<IPv4> check("check");
+    SinkStage<IPv4> sink("sink");
+    m.resolver.set_downstream(&check);
+    check.set_upstream(&m.resolver);
+    check.set_downstream(&sink);
+    sink.set_upstream(&check);
+
+    BgpRoute r = mkroute(IPv4Net::must_parse("10.0.0.0/8"), 100, 7);
+    m.resolver.add_route(r, nullptr);
+    m.answer(0, 3);
+    ASSERT_EQ(sink.route_count(), 1u);
+
+    m.resolver.invalidate(IPv4Net(r.nexthop, 24));
+    ASSERT_EQ(m.asked.size(), 2u);
+    EXPECT_EQ(m.resolver.pending_count(), 1u);
+    EXPECT_EQ(sink.route_count(), 1u);  // the old answer still stands
+    m.resolver.delete_route(r, nullptr);
+    EXPECT_EQ(sink.route_count(), 0u);
+    m.answer(1, 3);
+    EXPECT_EQ(sink.route_count(), 0u);
+
+    m.resolver.add_route(r, nullptr);  // cached: forwarded at once
+    ASSERT_EQ(sink.route_count(), 1u);
+    m.resolver.invalidate(IPv4Net(r.nexthop, 24));
+    m.answer(2, std::nullopt);
+    EXPECT_EQ(sink.route_count(), 0u);
+    EXPECT_EQ(m.resolver.unreachable_count(), 1u);
+    EXPECT_TRUE(check.consistent()) << check.violations().front();
 }
 
 // ---- DampingStage unit behaviour ---------------------------------------

@@ -1,5 +1,10 @@
-// Tests for BGP wire formats: AS paths, path attributes, messages.
+// Tests for BGP wire formats: AS paths, path attributes, messages, and
+// seeded mutation fuzzing of the three ingress decoders.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <random>
 
 #include "bgp/message.hpp"
 
@@ -219,4 +224,158 @@ TEST(BgpMessage, DecodeRejectsGarbage) {
     msg.push_back(2);
     msg.insert(msg.end(), body.begin(), body.end());
     EXPECT_FALSE(decode_message(msg.data(), msg.size()).has_value());
+}
+
+// ---- seeded mutation fuzzing of the ingress decoders ---------------------
+//
+// The same shape as RouteBatch.DecodeSurvivesSeededMutations: a fixed
+// seed, ~20k iterations of byte flips, inserts and truncations over valid
+// encodings. Decoding must never crash (ci.sh runs these under
+// ASan+UBSan) and never yield more items than the input bytes could hold.
+
+namespace {
+
+constexpr int kFuzzIterations = 20000;
+
+// 1-4 edits, each a single-bit flip, a random byte insert or a truncation.
+std::vector<uint8_t> mutate(std::vector<uint8_t> wire, std::mt19937& rng) {
+    const int edits = 1 + static_cast<int>(rng() % 4);
+    for (int k = 0; k < edits && !wire.empty(); ++k) {
+        const size_t at = rng() % wire.size();
+        switch (rng() % 3) {
+        case 0:
+            wire[at] = static_cast<uint8_t>(wire[at] ^ (1u << (rng() % 8)));
+            break;
+        case 1:
+            wire.insert(wire.begin() + static_cast<long>(at),
+                        static_cast<uint8_t>(rng()));
+            break;
+        default:
+            wire.resize(at);
+            break;
+        }
+    }
+    return wire;
+}
+
+PathAttributes full_attributes() {
+    PathAttributes pa;
+    pa.origin = Origin::kEgp;
+    AsPath seq({1777, 3561, 701});
+    std::vector<uint8_t> path;
+    seq.encode(path);
+    const std::vector<uint8_t> set = {1, 2, 0, 200, 1, 44};  // {200 300}
+    path.insert(path.end(), set.begin(), set.end());
+    pa.as_path = *AsPath::decode(path.data(), path.size());
+    pa.nexthop = IPv4::must_parse("192.0.2.1");
+    pa.med = 50;
+    pa.local_pref = 200;
+    pa.atomic_aggregate = true;
+    pa.aggregator = Aggregator{1777, IPv4::must_parse("10.0.0.1")};
+    pa.communities = {0x06f10001, 0x06f10002, 0x06f10003};
+    return pa;
+}
+
+// Decodes from an exactly-sized heap copy, so that under ASan a read past
+// the end is a heap-buffer-overflow rather than a read of vector slack.
+template <class Decode>
+auto decode_exact(const std::vector<uint8_t>& wire, Decode decode) {
+    auto buf = std::make_unique<uint8_t[]>(wire.size());
+    std::copy(wire.begin(), wire.end(), buf.get());
+    return decode(buf.get(), wire.size());
+}
+
+// Every AS costs at least two bytes on the wire, every community four.
+void expect_bounded(const PathAttributes& pa, size_t bytes, int iter) {
+    size_t ases = 0;
+    for (const auto& seg : pa.as_path.segments()) ases += seg.ases.size();
+    ASSERT_LE(2 * (pa.as_path.segments().size() + ases), bytes)
+        << "iteration " << iter;
+    ASSERT_LE(4 * pa.communities.size(), bytes) << "iteration " << iter;
+}
+
+}  // namespace
+
+TEST(BgpMessage, DecodeSurvivesSeededMutations) {
+    UpdateMessage u;
+    u.withdrawn = {IPv4Net::must_parse("10.1.0.0/16"),
+                   IPv4Net::must_parse("10.2.0.0/24"),
+                   IPv4Net::must_parse("0.0.0.0/0")};
+    u.attributes = full_attributes();
+    u.nlri = {IPv4Net::must_parse("80.0.0.0/8"),
+              IPv4Net::must_parse("80.1.2.0/23"),
+              IPv4Net::must_parse("80.1.2.128/25"),
+              IPv4Net::must_parse("80.1.2.129/32")};
+    OpenMessage o;
+    o.as = 1777;
+    o.bgp_id = IPv4::must_parse("192.0.2.1");
+    const std::vector<std::vector<uint8_t>> seeds = {
+        encode_message(o), encode_message(u),
+        encode_message(NotificationMessage{6, 2, {0xde, 0xad, 0xbe}}),
+        encode_message(KeepaliveMessage{})};
+
+    std::mt19937 rng(1777);
+    size_t accepted = 0, accepted_updates = 0;
+    for (int iter = 0; iter < kFuzzIterations; ++iter) {
+        std::vector<uint8_t> wire = mutate(seeds[rng() % seeds.size()], rng);
+        // Half the time keep the header's length honest, so the body
+        // decoders see the mutation rather than the length check.
+        if (rng() % 2 == 0 && wire.size() >= kHeaderSize &&
+            wire.size() <= kMaxMessageSize) {
+            wire[16] = static_cast<uint8_t>(wire.size() >> 8);
+            wire[17] = static_cast<uint8_t>(wire.size());
+        }
+        auto m = decode_exact(wire, decode_message);
+        if (!m) continue;
+        ++accepted;
+        if (const auto* up = std::get_if<UpdateMessage>(&*m)) {
+            ++accepted_updates;
+            // Every prefix costs at least its length byte.
+            ASSERT_LE(up->nlri.size() + up->withdrawn.size(), wire.size())
+                << "iteration " << iter;
+            if (up->attributes)
+                expect_bounded(*up->attributes, wire.size(), iter);
+        } else if (const auto* n = std::get_if<NotificationMessage>(&*m)) {
+            ASSERT_LE(n->data.size(), wire.size()) << "iteration " << iter;
+        }
+    }
+    // The fuzz must reach the accept paths, UPDATE bodies included.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(accepted_updates, 0u);
+}
+
+TEST(PathAttributes, DecodeSurvivesSeededMutations) {
+    std::vector<uint8_t> valid;
+    full_attributes().encode(valid);
+    std::mt19937 rng(1778);
+    size_t accepted = 0;
+    for (int iter = 0; iter < kFuzzIterations; ++iter) {
+        const std::vector<uint8_t> wire = mutate(valid, rng);
+        auto pa = decode_exact(wire, PathAttributes::decode);
+        if (!pa) continue;
+        ++accepted;
+        expect_bounded(*pa, wire.size(), iter);
+    }
+    EXPECT_GT(accepted, 0u);
+}
+
+TEST(AsPath, DecodeSurvivesSeededMutations) {
+    const std::vector<uint8_t> valid = {2, 3, 0x06, 0xf1, 0x0d, 0xe9, 0x02,
+                                        0xbd, 1, 2, 0, 200, 1, 44};
+    std::mt19937 rng(1779);
+    size_t accepted = 0;
+    for (int iter = 0; iter < kFuzzIterations; ++iter) {
+        const std::vector<uint8_t> wire = mutate(valid, rng);
+        auto p = decode_exact(wire, AsPath::decode);
+        if (!p) continue;
+        ++accepted;
+        PathAttributes pa;
+        pa.as_path = std::move(*p);
+        expect_bounded(pa, wire.size(), iter);
+        // A decoded path re-encodes to exactly the bytes it came from.
+        std::vector<uint8_t> again;
+        pa.as_path.encode(again);
+        ASSERT_EQ(again, wire) << "iteration " << iter;
+    }
+    EXPECT_GT(accepted, 0u);
 }
