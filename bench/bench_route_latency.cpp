@@ -15,12 +15,15 @@
 // SAME peering; (Fig 12) the same table with test routes on a DIFFERENT
 // peering (different code paths through the decision process). 255 test
 // routes are announced and withdrawn one at a time; per-point Avg/SD/
-// Min/Max are reported relative to "Entering BGP".
+// Min/Max are reported relative to "Entering BGP". The points are read
+// off the event journal with tracing on; the bench exits non-zero when a
+// figure measures fewer test routes than it sent.
 //
 // BGP, RIB, and FEA are separate components coupled by XRLs over real
 // loopback TCP, so the measured latency includes genuine IPC, as the
 // paper's did ("latency is mostly dominated by ... inter-process
 // communication").
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +42,7 @@
 #include "rtrmgr/threaded.hpp"
 #include "sim/harness.hpp"
 #include "sim/routefeed.hpp"
+#include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
 
 using namespace xrp;
@@ -48,25 +52,31 @@ using net::IPv4Net;
 
 namespace {
 
-const char* kPointNames[] = {
-    "bgp_in",         "bgp_rib_queued", "bgp_rib_sent", "rib_in",
-    "rib_fea_queued", "rib_fea_sent",   "fea_in",       "kernel_in",
+// The eight points as journal events: each point is the newest "add"
+// event of its kind for the test prefix. rib_in and kernel_in are the
+// journal's route_install and fib_add; the other six are trace points,
+// recorded while tracing is on.
+struct Point {
+    const char* name;
+    const char* label;
+    telemetry::JournalKind kind;
 };
-const char* kPointLabels[] = {
-    "Entering BGP",
-    "Queued for transmission to the RIB",
-    "Sent to RIB",
-    "Arriving at the RIB",
-    "Queued for transmission to the FEA",
-    "Sent to the FEA",
-    "Arriving at FEA",
-    "Entering kernel",
+const Point kPoints[] = {
+    {"bgp_in", "Entering BGP", telemetry::JournalKind::kBgpIn},
+    {"bgp_rib_queued", "Queued for transmission to the RIB",
+     telemetry::JournalKind::kBgpRibQueued},
+    {"bgp_rib_sent", "Sent to RIB", telemetry::JournalKind::kBgpRibSent},
+    {"rib_in", "Arriving at the RIB", telemetry::JournalKind::kRouteInstall},
+    {"rib_fea_queued", "Queued for transmission to the FEA",
+     telemetry::JournalKind::kRibFeaQueued},
+    {"rib_fea_sent", "Sent to the FEA", telemetry::JournalKind::kRibFeaSent},
+    {"fea_in", "Arriving at FEA", telemetry::JournalKind::kFeaIn},
+    {"kernel_in", "Entering kernel", telemetry::JournalKind::kFibAdd},
 };
 
 struct Stack {
     ev::RealClock clock;
     ipc::Plexus plexus{clock};
-    profiler::Profiler prof{plexus.loop};
 
     ipc::XrlRouter fea_xr{plexus, "fea", true};
     fea::Fea fea{plexus.loop};
@@ -77,10 +87,7 @@ struct Stack {
     std::unique_ptr<bgp::BgpProcess> bgp_proc;
     bgp::XrlRibHandle* rib_handle = nullptr;
 
-    // `profile` arms the eight per-route profiling points. The download
-    // experiment leaves them off: recording one string per route at 1M+
-    // routes would measure the profiler, not the pipeline.
-    explicit Stack(bool profile = true) {
+    Stack() {
         // Every component listens on TCP and prefers TCP outbound, so
         // inter-component XRLs run over real loopback sockets, like the
         // separate processes of the paper's deployment.
@@ -108,14 +115,6 @@ struct Stack {
         bgp_xr.finalize();
         bgp_xr.set_preferred_family("stcp");
 
-        fea.set_profiler(&prof);
-        rib->set_profiler(&prof);
-        bgp_proc->set_profiler(&prof);
-        fea_handle->set_profiler(&prof);
-        rib_handle->set_profiler(&prof);
-        if (profile)
-            for (const char* p : kPointNames) prof.enable(p);
-
         // The IGP route that makes peer nexthops resolvable; kept
         // installed for the whole test, like the paper's single route
         // that avoids extra RIB interactions in the empty-table case.
@@ -128,19 +127,26 @@ struct Stack {
     }
 };
 
-// Timestamp of the enabled point record matching "add <net>" (newest).
-std::optional<ev::TimePoint> find_record(const profiler::Profiler& prof,
-                                         const char* point,
-                                         const std::string& payload) {
-    const auto& records = prof.records(point);
-    for (auto it = records.rbegin(); it != records.rend(); ++it)
-        if (it->payload == payload) return it->t;
-    return std::nullopt;
+// Time of each point's newest "add" event for `prefix`, in kPoints order.
+std::vector<std::optional<ev::TimePoint>> point_times(
+    const std::vector<telemetry::JournalEvent>& events,
+    const std::string& prefix) {
+    std::vector<std::optional<ev::TimePoint>> out(std::size(kPoints));
+    for (const telemetry::JournalEvent& e : events) {
+        const bool add = e.kind == telemetry::JournalKind::kRouteInstall ||
+                         e.kind == telemetry::JournalKind::kFibAdd ||
+                         e.detail == "add";
+        if (!add || e.subject != prefix) continue;
+        for (size_t p = 0; p < std::size(kPoints); ++p)
+            if (e.kind == kPoints[p].kind) out[p] = e.t;
+    }
+    return out;
 }
 
 bool g_inproc = false;
 
-void run_experiment(bench::Report& report, const char* figure,
+// False unless every test route was measured at all eight points.
+bool run_experiment(bench::Report& report, const char* figure,
                     const char* title, bool full_table, bool same_peering,
                     size_t table_size, int test_routes) {
     Stack stack;
@@ -158,7 +164,7 @@ void run_experiment(bench::Report& report, const char* figure,
             [&] { return feed_a->established() && feed_b->established(); },
             10s)) {
         std::fprintf(stderr, "peers failed to establish\n");
-        return;
+        return false;
     }
 
     if (full_table) {
@@ -188,14 +194,14 @@ void run_experiment(bench::Report& report, const char* figure,
                 600s)) {
             std::fprintf(stderr, "feed load timed out (loc-rib=%zu)\n",
                          stack.bgp_proc->loc_rib_count());
-            return;
+            return false;
         }
         // Let the RIB/FEA drain.
         if (!stack.run_until(
                 [&] { return stack.fea.fib().size() >= table_size; }, 600s)) {
             std::fprintf(stderr, "FIB load timed out (fib=%zu)\n",
                          stack.fea.fib().size());
-            return;
+            return false;
         }
         std::fprintf(stderr, "[%s] feed loaded: bgp=%zu rib=%zu fib=%zu\n",
                      title, stack.bgp_proc->loc_rib_count(),
@@ -222,40 +228,38 @@ void run_experiment(bench::Report& report, const char* figure,
                        IPv4Net::must_parse("10.255.255.0/24")) == nullptr;
         },
         10s);
-    stack.prof.clear_all();
-
-    // The measurement loop: announce, wait for the kernel, withdraw.
-    sim::LatencyStats stats[std::size(kPointNames)];
+    // The measurement loop: announce, wait for the kernel, read the
+    // route's eight points off the journal, withdraw.
+    auto& journal = telemetry::Journal::global();
+    journal.clear();
+    journal.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
+    sim::LatencyStats stats[std::size(kPoints)];
     int measured = 0;
     for (int i = 0; i < test_routes; ++i) {
         IPv4Net net(IPv4((10u << 24) | (static_cast<uint32_t>(i + 1) << 8)),
                     24);
-        const std::string payload = "add " + net.str();
         feed->announce(net, nexthop, {65000});
         bool ok = stack.run_until(
-            [&] {
-                return find_record(stack.prof, "kernel_in", payload)
-                    .has_value();
-            },
-            5s);
+            [&] { return stack.fea.fib().find_exact(net) != nullptr; }, 5s);
         if (ok) {
-            auto t0 = find_record(stack.prof, "bgp_in", payload);
-            if (t0) {
+            auto t = point_times(journal.events(), net.str());
+            if (std::all_of(t.begin(), t.end(),
+                            [](const auto& tp) { return tp.has_value(); })) {
                 ++measured;
-                for (size_t p = 1; p < std::size(kPointNames); ++p) {
-                    auto tp = find_record(stack.prof, kPointNames[p], payload);
-                    if (tp)
-                        stats[p].add(
-                            std::chrono::duration<double, std::milli>(*tp -
-                                                                      *t0)
-                                .count());
-                }
+                for (size_t p = 1; p < std::size(kPoints); ++p)
+                    stats[p].add(std::chrono::duration<double, std::milli>(
+                                     *t[p] - *t[0])
+                                     .count());
             }
         }
         feed->withdraw(net);
         stack.run_until(
             [&] { return stack.fea.fib().find_exact(net) == nullptr; }, 5s);
+        journal.clear();
     }
+    telemetry::set_tracing_enabled(false);
+    journal.set_enabled(false);
 
     std::printf("\n## %s\n", title);
     std::printf("#   (%d test routes measured; latencies in ms relative to "
@@ -263,13 +267,13 @@ void run_experiment(bench::Report& report, const char* figure,
                 measured);
     std::printf("%-38s %8s %8s %8s %8s\n", "Profile Point", "Avg", "SD",
                 "Min", "Max");
-    std::printf("%-38s %8s %8s %8s %8s\n", kPointLabels[0], "-", "-", "-",
+    std::printf("%-38s %8s %8s %8s %8s\n", kPoints[0].label, "-", "-", "-",
                 "-");
-    for (size_t p = 1; p < std::size(kPointNames); ++p) {
-        std::printf("%-38s %s\n", kPointLabels[p], stats[p].row().c_str());
+    for (size_t p = 1; p < std::size(kPoints); ++p) {
+        std::printf("%-38s %s\n", kPoints[p].label, stats[p].row().c_str());
         json::Value& row = report.add_row();
         row.set("figure", json::Value(figure));
-        row.set("point", json::Value(kPointNames[p]));
+        row.set("point", json::Value(kPoints[p].name));
         row.set("measured", json::Value(measured));
         row.set("avg_ms", json::Value(stats[p].mean()));
         row.set("sd_ms", json::Value(stats[p].stddev()));
@@ -277,6 +281,10 @@ void run_experiment(bench::Report& report, const char* figure,
         row.set("max_ms", json::Value(stats[p].max()));
     }
     std::fflush(stdout);
+    if (measured < test_routes)
+        std::fprintf(stderr, "[%s] measured %d of %d test routes\n", figure,
+                     measured, test_routes);
+    return measured == test_routes;
 }
 
 // ---- million-route download + churn replay ------------------------------
@@ -308,7 +316,7 @@ stage::Route4 download_route(size_t i, const char* nexthop) {
 double run_download_mode(bench::Report& report, bool batched, size_t n_routes,
                         size_t churn_bursts, size_t burst_size) {
     const char* mode = batched ? "batch" : "per_route";
-    Stack stack(false);
+    Stack stack;
     if (g_inproc) {
         stack.rib_xr.set_preferred_family("");
         stack.bgp_xr.set_preferred_family("");
@@ -668,21 +676,25 @@ int main(int argc, char** argv) {
     report.set_meta("test_routes", json::Value(test_routes));
     report.set_meta("inproc", json::Value(g_inproc));
 
+    bool all_measured = true;
     if (figures) {
         std::printf("# Figures 10-12: route propagation latency (ms)\n");
         std::printf("# BGP -> RIB -> FEA coupled by XRLs over loopback TCP\n");
-        run_experiment(report, "fig10", "Figure 10: empty routing table",
-                       false, true, 0, test_routes);
-        run_experiment(report, "fig11",
-                       ("Figure 11: " + std::to_string(table_size) +
-                        " routes, test routes on the SAME peering")
-                           .c_str(),
-                       true, true, table_size, test_routes);
-        run_experiment(report, "fig12",
-                       ("Figure 12: " + std::to_string(table_size) +
-                        " routes, test routes on a DIFFERENT peering")
-                           .c_str(),
-                       true, false, table_size, test_routes);
+        all_measured &=
+            run_experiment(report, "fig10", "Figure 10: empty routing table",
+                           false, true, 0, test_routes);
+        all_measured &= run_experiment(
+            report, "fig11",
+            ("Figure 11: " + std::to_string(table_size) +
+             " routes, test routes on the SAME peering")
+                .c_str(),
+            true, true, table_size, test_routes);
+        all_measured &= run_experiment(
+            report, "fig12",
+            ("Figure 12: " + std::to_string(table_size) +
+             " routes, test routes on a DIFFERENT peering")
+                .c_str(),
+            true, false, table_size, test_routes);
         std::printf("\n# paper shape: ~3.4/3.6/4.4 ms avg to kernel; full "
                     "table barely\n"
                     "# slower than empty; different peering slightly slower "
@@ -691,5 +703,5 @@ int main(int argc, char** argv) {
     if (download)
         run_bulk_experiments(report, modes, download_routes, churn_bursts,
                              burst_size);
-    return 0;
+    return all_measured ? 0 : 1;
 }

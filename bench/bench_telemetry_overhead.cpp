@@ -21,7 +21,6 @@
 #include "rib/rib.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 using namespace xrp;
 using namespace std::chrono_literals;
@@ -193,16 +192,19 @@ int main(int argc, char** argv) {
     run_transaction(plexus, client);  // warm-up
 
     telemetry::set_enabled(false);
-    telemetry::Tracer::global().set_enabled(false);
+    telemetry::set_tracing_enabled(false);
     double off = best_of(reps);
 
     telemetry::set_enabled(true);
     double metrics = best_of(reps);
 
-    telemetry::Tracer::global().set_enabled(true);
+    // Tracing records its XRL hops in the journal, so both go on.
+    telemetry::set_tracing_enabled(true);
+    telemetry::Journal::global().set_enabled(true);
     double tracing = best_of(reps);
-    telemetry::Tracer::global().set_enabled(false);
-    telemetry::Tracer::global().clear();
+    telemetry::set_tracing_enabled(false);
+    telemetry::Journal::global().set_enabled(false);
+    telemetry::Journal::global().clear();
 
     std::printf("%-28s %12s %10s\n", "inproc XRL round trips", "XRLs/s",
                 "vs off");

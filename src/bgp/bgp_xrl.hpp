@@ -11,6 +11,7 @@
 
 #include "bgp/process.hpp"
 #include "ipc/router.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::bgp {
 
@@ -30,19 +31,13 @@ public:
     XrlRibHandle(ipc::XrlRouter& router, std::string rib_target = "rib")
         : router_(router), target_(std::move(rib_target)) {}
 
-    // Profiling point "bgp_rib_sent": the paper's "Sent to RIB" moment.
-    void set_profiler(profiler::Profiler* p) {
-        prof_sent_ = p != nullptr ? p->point("bgp_rib_sent")
-                                  : profiler::Profiler::ProfilePoint{};
-    }
-
     // One marshalling path for scalar and multipath winners: the
     // 1-member set's text form is byte-identical to the bare address, so
     // every add goes out as rib/1.0/add_route_multipath. Route pushes are
     // idempotent: mark them so the call contract may retry through drops
     // without risking double-execution harm.
     void add_route(const BgpRoute& r) override {
-        if (prof_sent_.enabled()) prof_sent_.record("add " + r.net.str());
+        trace_sent(r, "add");
         xrl::XrlArgs args;
         args.add("protocol", r.protocol)
             .add("net", r.net)
@@ -57,7 +52,7 @@ public:
     void delete_route(const BgpRoute& r) override {
         xrl::XrlArgs args;
         args.add("protocol", r.protocol).add("net", r.net);
-        if (prof_sent_.enabled()) prof_sent_.record("delete " + r.net.str());
+        trace_sent(r, "delete");
         router_.call_oneway(
             xrl::Xrl::generic(target_, "rib", "1.0", "delete_route", args),
             ipc::CallOptions::reliable());
@@ -142,16 +137,11 @@ private:
                 ipc::CallOptions::reliable());
             chunk.clear();
         };
+        if (telemetry::trace_points_enabled())
+            telemetry::Journal::current().record_batch(
+                router_.loop().now(), telemetry::JournalKind::kBgpRibSent, {},
+                "bgp", b);
         for (auto& e : b.entries()) {
-            if (prof_sent_.enabled()) {
-                if (e.op != stage::BatchOp::kAdd)
-                    prof_sent_.record(
-                        "delete " + (e.op == stage::BatchOp::kReplace
-                                         ? e.old_route.net.str()
-                                         : e.route.net.str()));
-                if (e.op != stage::BatchOp::kDelete)
-                    prof_sent_.record("add " + e.route.net.str());
-            }
             // The wire's metric slot carries the resolved IGP metric,
             // matching what the scalar verbs send.
             e.route.metric = wire_metric(e.route);
@@ -163,13 +153,20 @@ private:
         flush();
     }
 
+    // The paper's "Sent to RIB" trace point.
+    void trace_sent(const BgpRoute& r, const char* op) {
+        if (telemetry::trace_points_enabled())
+            telemetry::Journal::current().record(
+                router_.loop().now(), telemetry::JournalKind::kBgpRibSent, {},
+                "bgp", r.net.str(), op);
+    }
+
     // Entries per add_routes_bulk message: bounds any one XRL's payload
     // without meaningfully increasing the message count at 1M-route scale.
     static constexpr size_t kBulkChunkEntries = 8192;
 
     ipc::XrlRouter& router_;
     std::string target_;
-    profiler::Profiler::ProfilePoint prof_sent_;
 };
 
 }  // namespace xrp::bgp

@@ -1,5 +1,7 @@
 #include "bgp/process.hpp"
 
+#include "telemetry/journal.hpp"
+
 namespace xrp::bgp {
 
 using net::IPv4;
@@ -83,9 +85,10 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
             // (network statements); feeding them back would ask the RIB
             // for an origin it doesn't have.
             if (r.protocol == "local") return;
-            if (prof_rib_queued_.enabled())
-                prof_rib_queued_.record(
-                    (is_add ? "add " : "delete ") + r.net.str());
+            if (telemetry::trace_points_enabled())
+                telemetry::Journal::current().record(
+                    loop_.now(), telemetry::JournalKind::kBgpRibQueued, {},
+                    "bgp", r.net.str(), is_add ? "add" : "delete");
             if (is_add)
                 rib_->add_route(r);
             else
@@ -101,14 +104,6 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
             const bool new_ok = e.route.protocol != "local";
             const bool old_ok = e.op != stage::BatchOp::kReplace ||
                                 e.old_route.protocol != "local";
-            if (prof_rib_queued_.enabled()) {
-                if (e.op == stage::BatchOp::kDelete && new_ok)
-                    prof_rib_queued_.record("delete " + e.route.net.str());
-                if (e.op == stage::BatchOp::kReplace && old_ok)
-                    prof_rib_queued_.record("delete " + e.old_route.net.str());
-                if (e.op != stage::BatchOp::kDelete && new_ok)
-                    prof_rib_queued_.record("add " + e.route.net.str());
-            }
             if (e.op != stage::BatchOp::kReplace) {
                 if (new_ok) out.push(std::move(e));
             } else if (new_ok && old_ok) {
@@ -119,7 +114,12 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
                 out.del(std::move(e.old_route));
             }
         }
-        if (!out.empty()) rib_->push_batch(std::move(out));
+        if (out.empty()) return;
+        if (telemetry::trace_points_enabled())
+            telemetry::Journal::current().record_batch(
+                loop_.now(), telemetry::JournalKind::kBgpRibQueued, {}, "bgp",
+                out);
+        rib_->push_batch(std::move(out));
     });
     fanout_->add_branch(rib_branch_.get());
 
@@ -242,7 +242,6 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
     stage::RouteBatch<IPv4> batch;
     batch.reserve(update.withdrawn.size() + update.nlri.size());
     for (const IPv4Net& net : update.withdrawn) {
-        if (prof_in_.enabled()) prof_in_.record("delete " + net.str());
         BgpRoute r;
         r.net = net;
         batch.del(std::move(r));
@@ -256,7 +255,6 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
         auto attrs = intern_attrs(*update.attributes);
         const bool ibgp = p.session->is_ibgp();
         for (const IPv4Net& net : update.nlri) {
-            if (prof_in_.enabled()) prof_in_.record("add " + net.str());
             BgpRoute r;
             r.net = net;
             r.nexthop = attrs->nexthop;
@@ -266,7 +264,11 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
             batch.add(std::move(r));
         }
     }
-    if (!batch.empty()) p.peer_in->push_batch(std::move(batch));
+    if (batch.empty()) return;
+    if (telemetry::trace_points_enabled())
+        telemetry::Journal::current().record_batch(
+            loop_.now(), telemetry::JournalKind::kBgpIn, {}, "bgp", batch);
+    p.peer_in->push_batch(std::move(batch));
 }
 
 // ---- session lifecycle -----------------------------------------------------
@@ -452,17 +454,6 @@ void BgpProcess::install_out_filters(PeerPipeline& p) {
 void BgpProcess::nexthop_invalid(const IPv4Net& valid_subnet) {
     local_resolver_->invalidate(valid_subnet);
     for (auto& [id, p] : peers_) p->resolver->invalidate(valid_subnet);
-}
-
-void BgpProcess::set_profiler(profiler::Profiler* p) {
-    profiler_ = p;
-    if (p != nullptr) {
-        prof_in_ = p->point("bgp_in");
-        prof_rib_queued_ = p->point("bgp_rib_queued");
-    } else {
-        prof_in_ = {};
-        prof_rib_queued_ = {};
-    }
 }
 
 }  // namespace xrp::bgp

@@ -27,7 +27,6 @@
 #include "bgp/stages.hpp"
 #include "ev/eventloop.hpp"
 #include "policy/vm.hpp"
-#include "profiler/profiler.hpp"
 #include "stage/deletion.hpp"
 #include "stage/fanout.hpp"
 #include "stage/filter.hpp"
@@ -142,10 +141,6 @@ public:
     size_t active_deletion_stages() const { return deleters_.size(); }
     DampingStage* damping_stage(int peer_id);
 
-    // Profiling points: "bgp_in" (update entering BGP), "bgp_rib_queued"
-    // (winner queued for transmission to the RIB).
-    void set_profiler(profiler::Profiler* p);
-
     ev::EventLoop& loop() { return loop_; }
     const Config& config() const { return config_; }
 
@@ -165,9 +160,6 @@ private:
     ev::EventLoop& loop_;
     Config config_;
     std::unique_ptr<RibHandle> rib_;
-    profiler::Profiler* profiler_ = nullptr;
-    profiler::Profiler::ProfilePoint prof_in_;
-    profiler::Profiler::ProfilePoint prof_rib_queued_;
 
     std::unique_ptr<DecisionStage> decision_;
     std::unique_ptr<stage::FanoutStage<net::IPv4>> fanout_;

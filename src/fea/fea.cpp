@@ -5,7 +5,7 @@
 namespace xrp::fea {
 
 void Fea::add_route(const net::IPv4Net& net, net::IPv4 nexthop) {
-    if (prof_in_.enabled()) prof_in_.record("add " + net.str());
+    trace_in(net, "add");
     FibEntry e;
     e.net = net;
     e.nexthop = nexthop;
@@ -17,7 +17,6 @@ void Fea::add_route(const net::IPv4Net& net, net::IPv4 nexthop) {
         telemetry::Journal::current().record(
             loop_.now(), telemetry::JournalKind::kFibAdd, node_, "fea",
             net.str(), nexthop.str() + ":" + e.ifname);
-    if (prof_kernel_.enabled()) prof_kernel_.record("add " + net.str());
 }
 
 void Fea::add_route(const net::IPv4Net& net,
@@ -27,7 +26,7 @@ void Fea::add_route(const net::IPv4Net& net,
                   nexthops.empty() ? net::IPv4() : nexthops.primary());
         return;
     }
-    if (prof_in_.enabled()) prof_in_.record("add " + net.str());
+    trace_in(net, "add");
     FibEntry e;
     e.net = net;
     e.nexthops = nexthops;
@@ -52,7 +51,6 @@ void Fea::add_route(const net::IPv4Net& net,
         telemetry::Journal::current().record(
             loop_.now(), telemetry::JournalKind::kFibAdd, node_, "fea",
             net.str(), detail);
-    if (prof_kernel_.enabled()) prof_kernel_.record("add " + net.str());
 }
 
 void Fea::apply_batch(const stage::RouteBatch4& batch) {
@@ -79,15 +77,13 @@ void Fea::apply_batch(const stage::RouteBatch4& batch) {
 }
 
 bool Fea::delete_route(const net::IPv4Net& net) {
-    if (prof_in_.enabled()) prof_in_.record("delete " + net.str());
+    trace_in(net, "delete");
     bool ok = fib_.delete_route(net);
     if (ok) ++fib_deletes_;
     if (ok && telemetry::journal_enabled())
         telemetry::Journal::current().record(loop_.now(),
                                             telemetry::JournalKind::kFibDelete,
                                             node_, "fea", net.str());
-    if (ok && prof_kernel_.enabled())
-        prof_kernel_.record("delete " + net.str());
     return ok;
 }
 
@@ -142,15 +138,11 @@ void Fea::receive(const std::string& ifname, const Datagram& dgram) {
     }
 }
 
-void Fea::set_profiler(profiler::Profiler* p) {
-    profiler_ = p;
-    if (p != nullptr) {
-        prof_in_ = p->point("fea_in");
-        prof_kernel_ = p->point("kernel_in");
-    } else {
-        prof_in_ = {};
-        prof_kernel_ = {};
-    }
+void Fea::trace_in(const net::IPv4Net& net, const char* op) {
+    if (telemetry::trace_points_enabled())
+        telemetry::Journal::current().record(
+            loop_.now(), telemetry::JournalKind::kFeaIn, node_, "fea",
+            net.str(), op);
 }
 
 }  // namespace xrp::fea

@@ -20,7 +20,6 @@
 #include "fea/iftable.hpp"
 #include "fea/simfib.hpp"
 #include "fea/simnet.hpp"
-#include "profiler/profiler.hpp"
 #include "stage/batch.hpp"
 
 namespace xrp::fea {
@@ -82,13 +81,15 @@ public:
     // attached interfaces.
     void receive(const std::string& ifname, const Datagram& dgram);
 
-    void set_profiler(profiler::Profiler* p);
-
     // Router identity stamped on journal events; empty = unbound.
     void set_node(std::string node) { node_ = std::move(node); }
     const std::string& node() const { return node_; }
 
 private:
+    // The "Arriving at FEA" trace point (kFeaIn); "Entering kernel" is
+    // the journal's fib_add/fib_delete.
+    void trace_in(const net::IPv4Net& net, const char* op);
+
     struct RelaySocket {
         uint16_t port = 0;
         UdpReceiveCallback cb;
@@ -108,9 +109,6 @@ private:
     int next_sock_ = 1;
     uint64_t fib_adds_ = 0;
     uint64_t fib_deletes_ = 0;
-    profiler::Profiler* profiler_ = nullptr;
-    profiler::Profiler::ProfilePoint prof_in_;
-    profiler::Profiler::ProfilePoint prof_kernel_;
 };
 
 }  // namespace xrp::fea

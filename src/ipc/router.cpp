@@ -10,7 +10,6 @@
 #include "ipc/telemetry_xrl.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace xrp::ipc {
 
@@ -314,24 +313,15 @@ void XrlRouter::dispatch_raw(const finder::Resolution& res,
         // Intra dispatch is synchronous, so latency is measured around the
         // call itself and the callee runs under the deepened trace context
         // (nested sends inherit it straight off this stack).
+        std::optional<telemetry::TraceContext::Scope> scope;
         if (telemetry::tracing_enabled()) {
-            telemetry::TraceContext ctx = telemetry::Tracer::current();
-            if (ctx.valid()) {
-                telemetry::TraceContext hop = ctx.next_hop();
-                telemetry::Tracer::global().record(
-                    hop, home_loop_.now(), "dispatch",
-                    "inproc " + res.keyed_method);
-                telemetry::Tracer::Scope scope(hop);
-                if (telemetry::enabled()) {
-                    const ev::TimePoint t0 = home_loop_.now();
-                    plexus_.intra.send(res.address, res.keyed_method, args,
-                                       std::move(done));
-                    m.lat_inproc->observe_always(home_loop_.now() - t0);
-                } else {
-                    plexus_.intra.send(res.address, res.keyed_method, args,
-                                       std::move(done));
-                }
-                return;
+            if (const telemetry::TraceContext ctx =
+                    telemetry::TraceContext::current();
+                ctx.valid()) {
+                scope.emplace(ctx.next_hop());
+                telemetry::record_xrl_hop(home_loop_.now(),
+                                          telemetry::JournalKind::kXrlDispatch,
+                                          res.keyed_method, "inproc");
             }
         }
         if (telemetry::enabled()) {
@@ -403,8 +393,8 @@ bool XrlRouter::call(const xrl::Xrl& xrl, const CallOptions& opts,
         // traced dispatch). Each attempt records its own "send" event
         // under this context — a retry IS a resend.
         telemetry::TraceContext ctx = st->opts.trace;
-        if (!ctx.valid()) ctx = telemetry::Tracer::current();
-        if (!ctx.valid()) ctx = telemetry::Tracer::global().begin_trace();
+        if (!ctx.valid()) ctx = telemetry::TraceContext::current();
+        if (!ctx.valid()) ctx = telemetry::TraceContext::begin();
         st->trace = ctx;
     }
     begin_cycle(st);
@@ -527,11 +517,11 @@ void XrlRouter::start_attempt(const std::shared_ptr<CallState>& st) {
         on_response(st, gen, e, a);
     };
     if (telemetry::tracing_enabled() && st->trace.valid()) {
-        telemetry::Tracer::global().record(
-            st->trace, now, "send",
-            res.family + " " + st->xrl.target() + "/" +
-                st->xrl.full_method());
-        telemetry::Tracer::Scope scope(st->trace);
+        telemetry::TraceContext::Scope scope(st->trace);
+        if (telemetry::trace_points_enabled())
+            telemetry::record_xrl_hop(
+                now, telemetry::JournalKind::kXrlSend,
+                st->xrl.target() + "/" + st->xrl.full_method(), res.family);
         dispatch_via(st->xrl.target(), res, st->xrl.args(), std::move(cb));
         return;
     }
@@ -709,13 +699,13 @@ bool XrlRouter::send_unreliable(const xrl::Xrl& xrl, ResponseCallback done) {
         return true;
     }
     if (telemetry::tracing_enabled()) {
-        auto& tracer = telemetry::Tracer::global();
-        telemetry::TraceContext ctx = telemetry::Tracer::current();
-        if (!ctx.valid()) ctx = tracer.begin_trace();
-        tracer.record(ctx, home_loop_.now(), "send",
-                      res->family + " " + xrl.target() + "/" +
-                          xrl.full_method());
-        telemetry::Tracer::Scope scope(ctx);
+        telemetry::TraceContext ctx = telemetry::TraceContext::current();
+        if (!ctx.valid()) ctx = telemetry::TraceContext::begin();
+        telemetry::TraceContext::Scope scope(ctx);
+        if (telemetry::trace_points_enabled())
+            telemetry::record_xrl_hop(
+                home_loop_.now(), telemetry::JournalKind::kXrlSend,
+                xrl.target() + "/" + xrl.full_method(), res->family);
         dispatch_via(xrl.target(), *res, xrl.args(), std::move(done));
         return true;
     }

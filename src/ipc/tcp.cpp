@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::ipc {
 
@@ -135,9 +135,10 @@ void TcpListener::process_frames(const std::shared_ptr<Connection>& c) {
         // (async). Either way the response is queued on this connection if
         // it is still open. Scoping the carried trace context around the
         // dispatch lets the handler's own nested sends join the trace.
-        telemetry::Tracer::global().record(req.trace, loop_.now(), "dispatch",
-                                           "stcp " + req.method);
-        telemetry::Tracer::Scope trace_scope(req.trace);
+        telemetry::TraceContext::Scope trace_scope(req.trace);
+        telemetry::record_xrl_hop(loop_.now(),
+                                  telemetry::JournalKind::kXrlDispatch,
+                                  req.method, "stcp");
         std::weak_ptr<Connection> weak = c;
         dispatcher_.dispatch(
             req.method, req.args,
@@ -275,7 +276,7 @@ void TcpChannel::send(const std::string& keyed_method,
     req.method = keyed_method;
     req.args = args;
     // Carry the caller's trace (if any) across the wire, one hop deeper.
-    if (telemetry::TraceContext ctx = telemetry::Tracer::current();
+    if (telemetry::TraceContext ctx = telemetry::TraceContext::current();
         ctx.valid())
         req.trace = ctx.next_hop();
     std::vector<uint8_t> body;

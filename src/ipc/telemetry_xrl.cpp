@@ -2,7 +2,6 @@
 
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace xrp::ipc {
 
@@ -45,31 +44,8 @@ void bind_telemetry_xrls(XrlDispatcher& d) {
                   });
     d.add_handler("telemetry/1.0/trace_enable",
                   [](const XrlArgs& in, XrlArgs& out) {
-                      telemetry::Tracer::global().set_enabled(
-                          *in.get_bool("on"));
-                      out.add("enabled", telemetry::Tracer::global().enabled());
-                      return XrlError::okay();
-                  });
-    d.add_handler("telemetry/1.0/trace_dump",
-                  [](const XrlArgs&, XrlArgs& out) {
-                      auto& t = telemetry::Tracer::global();
-                      out.add("count", static_cast<uint32_t>(t.event_count()));
-                      out.add("dropped", static_cast<uint32_t>(t.dropped()));
-                      out.add("text", t.format());
-                      return XrlError::okay();
-                  });
-    d.add_handler("telemetry/1.0/trace_dump_json",
-                  [](const XrlArgs&, XrlArgs& out) {
-                      auto& t = telemetry::Tracer::global();
-                      out.add("count", static_cast<uint32_t>(t.event_count()));
-                      out.add("dropped", static_cast<uint32_t>(t.dropped()));
-                      out.add("text", t.format_jsonl());
-                      return XrlError::okay();
-                  });
-    d.add_handler("telemetry/1.0/trace_clear",
-                  [](const XrlArgs&, XrlArgs& out) {
-                      telemetry::Tracer::global().clear();
-                      out.add("ok", true);
+                      telemetry::set_tracing_enabled(*in.get_bool("on"));
+                      out.add("enabled", telemetry::tracing_enabled());
                       return XrlError::okay();
                   });
     d.add_handler("telemetry/1.0/journal_enable",

@@ -1,5 +1,5 @@
 // The telemetry/1.0 XRL face: every component exposes its process-wide
-// metrics registry and the tracer over the same IPC they instrument —
+// metrics registry and event journal over the same IPC they instrument —
 // observability is self-hosted, there is no side channel. XrlRouter
 // binds these handlers in finalize(), so any finalized target (bgp, rib,
 // fea, even the finder) answers:
@@ -8,17 +8,17 @@
 //   get_metric ? name         — one metric's exposition lines
 //   snapshot                  — full Prometheus-style text exposition
 //   metrics_enable ? on       — flip the registry-wide enable flag
-//   trace_enable ? on         — flip call tracing
-//   trace_dump                — formatted trace ring contents
-//   trace_dump_json           — same ring as JSON-lines (machine-readable)
-//   trace_clear               — drop buffered trace events
+//   trace_enable ? on         — flip call tracing: XRLs carry a trace
+//                               id, and the journal records the §8.2
+//                               profiling points and the XRL hops
 //   journal_enable ? on       — flip the structured event journal
 //   journal_dump_json         — journal ring as JSON-lines
 //   journal_clear             — drop buffered journal events
 //
-// Registry and Tracer are process singletons, so asking any one target
-// yields the whole process's view; in a multi-process deployment each
-// process answers for itself, exactly like XORP's per-process profiler.
+// The registry and the journal are process singletons, so asking any one
+// target yields the whole process's view; in a multi-process deployment
+// each process answers for itself, exactly like XORP's per-process
+// profiler, and ProcessRouter::journal_timeline merges the answers.
 #ifndef XRP_IPC_TELEMETRY_XRL_HPP
 #define XRP_IPC_TELEMETRY_XRL_HPP
 
@@ -33,9 +33,6 @@ interface telemetry/1.0 {
     snapshot -> text:txt;
     metrics_enable ? on:bool -> enabled:bool;
     trace_enable ? on:bool -> enabled:bool;
-    trace_dump -> count:u32 & dropped:u32 & text:txt;
-    trace_dump_json -> count:u32 & dropped:u32 & text:txt;
-    trace_clear -> ok:bool;
     journal_enable ? on:bool -> enabled:bool;
     journal_dump_json -> count:u32 & dropped:u32 & text:txt;
     journal_clear -> ok:bool;

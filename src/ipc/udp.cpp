@@ -4,7 +4,7 @@
 #include <unistd.h>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::ipc {
 
@@ -64,9 +64,10 @@ void UdpListener::on_readable() {
             decode_frame(buf, static_cast<size_t>(n), req, resp_unused);
         if (!kind || *kind != FrameKind::kRequest) continue;  // drop garbage
         const uint32_t seq = req.seq;
-        telemetry::Tracer::global().record(req.trace, loop_.now(), "dispatch",
-                                           "sudp " + req.method);
-        telemetry::Tracer::Scope trace_scope(req.trace);
+        telemetry::TraceContext::Scope trace_scope(req.trace);
+        telemetry::record_xrl_hop(loop_.now(),
+                                  telemetry::JournalKind::kXrlDispatch,
+                                  req.method, "sudp");
         // UDP handlers must complete synchronously enough that the peer
         // address capture below stays valid; we copy it into the lambda.
         dispatcher_.dispatch(
@@ -124,7 +125,7 @@ void UdpChannel::send(const std::string& keyed_method,
     req.seq = next_seq_++;
     req.method = keyed_method;
     req.args = args;
-    if (telemetry::TraceContext ctx = telemetry::Tracer::current();
+    if (telemetry::TraceContext ctx = telemetry::TraceContext::current();
         ctx.valid())
         req.trace = ctx.next_hop();
     Pending p;

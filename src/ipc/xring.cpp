@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::ipc {
 
@@ -187,9 +187,10 @@ void XringPort::drain_once(const std::shared_ptr<XringConduit>& c) {
             decode_frame(frame.data(), frame.size(), req, resp_unused);
         if (!kind || *kind != FrameKind::kRequest) continue;  // malformed
         const uint32_t seq = req.seq;
-        telemetry::Tracer::global().record(req.trace, loop_.now(), "dispatch",
-                                           "xring " + req.method);
-        telemetry::Tracer::Scope trace_scope(req.trace);
+        telemetry::TraceContext::Scope trace_scope(req.trace);
+        telemetry::record_xrl_hop(loop_.now(),
+                                  telemetry::JournalKind::kXrlDispatch,
+                                  req.method, "xring");
         // The completion may run now (sync handler) or later (async); the
         // conduit outlives the port, and a reply after either side closed
         // is dropped before touching port state (`this` is only safe while
@@ -298,7 +299,7 @@ void XringChannel::send(const std::string& keyed_method,
     req.method = keyed_method;
     req.args = args;
     // Carry the caller's trace (if any) across the thread hop.
-    if (telemetry::TraceContext ctx = telemetry::Tracer::current();
+    if (telemetry::TraceContext ctx = telemetry::TraceContext::current();
         ctx.valid())
         req.trace = ctx.next_hop();
     Queued q;

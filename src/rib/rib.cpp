@@ -65,9 +65,10 @@ Rib::Rib(ev::EventLoop& loop, std::unique_ptr<FeaHandle> fea)
     }
     final_ = std::make_unique<stage::SinkStage<IPv4>>(
         "fea-branch", [this](bool is_add, const Route4& r) {
-            if (prof_fea_queued_.enabled())
-                prof_fea_queued_.record(
-                    (is_add ? "add " : "delete ") + r.net.str());
+            if (telemetry::trace_points_enabled())
+                telemetry::Journal::current().record(
+                    loop_.now(), telemetry::JournalKind::kRibFeaQueued, node_,
+                    "rib", r.net.str(), is_add ? "add" : "delete");
             // Replacement is delete(old)+add(new), so the ECMP occupancy
             // gauges stay balanced across set membership changes.
             if (r.is_multipath()) {
@@ -86,18 +87,14 @@ Rib::Rib(ev::EventLoop& loop, std::unique_ptr<FeaHandle> fea)
             }
         });
     // Batched winners ship to the FEA as one delta; per-entry gauge and
-    // profiling bookkeeping mirrors the scalar callback (a replace is a
+    // trace bookkeeping mirrors the scalar callback (a replace is a
     // delete(old)+add(new) for both).
     final_->set_batch_callback([this](stage::RouteBatch<IPv4>&& batch) {
+        if (telemetry::trace_points_enabled())
+            telemetry::Journal::current().record_batch(
+                loop_.now(), telemetry::JournalKind::kRibFeaQueued, node_,
+                "rib", batch);
         for (const auto& e : batch.entries()) {
-            if (prof_fea_queued_.enabled()) {
-                if (e.op == stage::BatchOp::kDelete)
-                    prof_fea_queued_.record("delete " + e.route.net.str());
-                else if (e.op == stage::BatchOp::kReplace)
-                    prof_fea_queued_.record("delete " + e.old_route.net.str());
-                if (e.op != stage::BatchOp::kDelete)
-                    prof_fea_queued_.record("add " + e.route.net.str());
-            }
             const Route4& gone =
                 e.op == stage::BatchOp::kReplace ? e.old_route : e.route;
             if (e.op != stage::BatchOp::kAdd && gone.is_multipath()) {
@@ -132,7 +129,6 @@ bool Rib::add_route(const std::string& protocol, const IPv4Net& net,
     auto it = origins_.find(protocol);
     if (it == origins_.end()) return false;
     it->second.adds->inc();
-    if (prof_in_.enabled()) prof_in_.record("add " + net.str());
     Route4 r;
     r.net = net;
     r.set_nexthops(nexthops);
@@ -155,7 +151,6 @@ bool Rib::delete_route(const std::string& protocol, const IPv4Net& net) {
     auto it = origins_.find(protocol);
     if (it == origins_.end()) return false;
     it->second.deletes->inc();
-    if (prof_in_.enabled()) prof_in_.record("delete " + net.str());
     if (telemetry::journal_enabled())
         telemetry::Journal::current().record(
             loop_.now(), telemetry::JournalKind::kRouteWithdraw, node_, "rib",
@@ -177,8 +172,6 @@ bool Rib::push_batch(const std::string& protocol,
     if (batch.empty()) return true;
     o.adds->inc(batch.add_count());
     o.deletes->inc(batch.delete_count());
-    if (prof_in_.enabled())
-        prof_in_.record("bulk " + std::to_string(batch.size()));
     const bool journal = telemetry::journal_enabled();
     for (auto& e : batch.entries()) {
         if (e.op != stage::BatchOp::kDelete) {
@@ -383,17 +376,6 @@ size_t Rib::stale_route_count(const std::string& protocol) const {
 uint64_t Rib::swept_route_count(const std::string& protocol) const {
     auto it = origins_.find(protocol);
     return it == origins_.end() ? 0 : it->second.swept_total;
-}
-
-void Rib::set_profiler(profiler::Profiler* p) {
-    profiler_ = p;
-    if (p != nullptr) {
-        prof_in_ = p->point("rib_in");
-        prof_fea_queued_ = p->point("rib_fea_queued");
-    } else {
-        prof_in_ = {};
-        prof_fea_queued_ = {};
-    }
 }
 
 }  // namespace xrp::rib

@@ -34,7 +34,6 @@
 
 #include "ev/eventloop.hpp"
 #include "fea/fea.hpp"
-#include "profiler/profiler.hpp"
 #include "stage/deletion.hpp"
 #include "stage/extint.hpp"
 #include "stage/merge.hpp"
@@ -213,8 +212,6 @@ public:
     // Stale routes reaped by sweepers for this protocol, lifetime total.
     uint64_t swept_route_count(const std::string& protocol) const;
 
-    void set_profiler(profiler::Profiler* p);
-
     // Router identity stamped on journal events ("r3"); empty = unbound.
     void set_node(std::string node) { node_ = std::move(node); }
     const std::string& node() const { return node_; }
@@ -247,12 +244,6 @@ private:
     ev::EventLoop& loop_;
     std::unique_ptr<FeaHandle> fea_;
     std::string node_;
-    profiler::Profiler* profiler_ = nullptr;
-    // Resolved profiling handles (bound in set_profiler); the per-route
-    // cost of a disabled point is one pointer check, and the payload
-    // string is only built when the point is live.
-    profiler::Profiler::ProfilePoint prof_in_;
-    profiler::Profiler::ProfilePoint prof_fea_queued_;
 
     std::map<std::string, Origin> origins_;
     std::vector<std::unique_ptr<stage::MergeStage<net::IPv4>>> merges_;

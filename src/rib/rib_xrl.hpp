@@ -10,6 +10,7 @@
 
 #include "ipc/router.hpp"
 #include "rib/rib.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::rib {
 
@@ -51,12 +52,6 @@ public:
     explicit XrlFeaHandle(ipc::XrlRouter& router, std::string fea_target = "fea")
         : router_(router), target_(std::move(fea_target)) {}
 
-    // Profiling point "rib_fea_sent": the paper's "Sent to the FEA".
-    void set_profiler(profiler::Profiler* p) {
-        prof_sent_ = p != nullptr ? p->point("rib_fea_sent")
-                                  : profiler::Profiler::ProfilePoint{};
-    }
-
     // One marshalling path for scalar and multipath installs: a 1-member
     // set's text form is byte-identical to the bare address, so every add
     // goes out as fea/1.0/add_route4_multipath. FIB pushes are idempotent
@@ -69,7 +64,7 @@ public:
                    const net::NexthopSet4& nexthops) override {
         xrl::XrlArgs args;
         args.add("net", net).add("nexthops", nexthops.str());
-        if (prof_sent_.enabled()) prof_sent_.record("add " + net.str());
+        trace_sent(net, "add");
         router_.call_oneway(
             xrl::Xrl::generic(target_, "fea", "1.0", "add_route4_multipath",
                               args),
@@ -78,7 +73,7 @@ public:
     void delete_route(const net::IPv4Net& net) override {
         xrl::XrlArgs args;
         args.add("net", net);
-        if (prof_sent_.enabled()) prof_sent_.record("delete " + net.str());
+        trace_sent(net, "delete");
         router_.call_oneway(
             xrl::Xrl::generic(target_, "fea", "1.0", "delete_route4", args),
             ipc::CallOptions::reliable());
@@ -110,16 +105,11 @@ public:
                 ipc::CallOptions::reliable());
             chunk.clear();
         };
+        if (telemetry::trace_points_enabled())
+            telemetry::Journal::current().record_batch(
+                router_.loop().now(), telemetry::JournalKind::kRibFeaSent, {},
+                "rib", batch);
         for (auto& e : batch.entries()) {
-            if (prof_sent_.enabled()) {
-                if (e.op != stage::BatchOp::kAdd)
-                    prof_sent_.record(
-                        "delete " + (e.op == stage::BatchOp::kReplace
-                                         ? e.old_route.net.str()
-                                         : e.route.net.str()));
-                if (e.op != stage::BatchOp::kDelete)
-                    prof_sent_.record("add " + e.route.net.str());
-            }
             chunk.push(std::move(e));
             if (chunk.size() >= kBulkChunkEntries) flush();
         }
@@ -127,6 +117,14 @@ public:
     }
 
 private:
+    // The paper's "Sent to the FEA" trace point.
+    void trace_sent(const net::IPv4Net& net, const char* op) {
+        if (telemetry::trace_points_enabled())
+            telemetry::Journal::current().record(
+                router_.loop().now(), telemetry::JournalKind::kRibFeaSent, {},
+                "rib", net.str(), op);
+    }
+
     // Entries per add_routes4_bulk message: bounds any one XRL's payload
     // (and the receiver's decode allocation) without meaningfully
     // increasing the message count for million-route downloads.
@@ -134,7 +132,6 @@ private:
 
     ipc::XrlRouter& router_;
     std::string target_;
-    profiler::Profiler::ProfilePoint prof_sent_;
 };
 
 }  // namespace xrp::rib

@@ -84,6 +84,14 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
     constexpr size_t kChunk = 8192;
     auto prefixes = sim::generate_prefixes(count, seed);
     const net::IPv4 nexthop((192u << 24) | (2 << 8) | 1);  // 192.0.2.1
+    // Components boot concurrently, so the RIB may register with the
+    // Finder after this process starts feeding. An unresolvable target is
+    // retried, but the default 3 attempts span ~30 ms; allow enough that
+    // the 60 s deadline is what ends the wait.
+    const auto opts = ipc::CallOptions::reliable()
+                          .with_deadline(std::chrono::seconds(60))
+                          .with_attempt_timeout(std::chrono::seconds(5))
+                          .with_attempts(64);
 
     // The ebgp routes all name 192.0.2.1 as their nexthop, and the RIB's
     // ExtInt stage parks external routes until an internal route covers
@@ -97,9 +105,6 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
             .add("net", net::IPv4Net(net::IPv4((192u << 24) | (2 << 8)), 24))
             .add("nexthop", nexthop)
             .add("metric", uint32_t{1});
-        auto opts = ipc::CallOptions::reliable()
-                        .with_deadline(std::chrono::seconds(60))
-                        .with_attempt_timeout(std::chrono::seconds(5));
         xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_route",
                                   std::move(args)),
                 opts, [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
@@ -126,9 +131,6 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
         xrl::XrlArgs args;
         args.add("protocol", std::string("ebgp"))
             .add("routes", batch.encode_bytes());
-        auto opts = ipc::CallOptions::reliable()
-                        .with_deadline(std::chrono::seconds(60))
-                        .with_attempt_timeout(std::chrono::seconds(5));
         xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_routes_bulk",
                                   std::move(args)),
                 opts,

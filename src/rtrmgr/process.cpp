@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -583,6 +584,29 @@ std::optional<uint64_t> ProcessRouter::query_u64(
 uint32_t ProcessRouter::fib_size() {
     return query_u32("fea", "fea", "1.0", "get_fib_size", "count")
         .value_or(0);
+}
+
+ProcessRouter::Timeline ProcessRouter::journal_timeline(ev::Duration limit) {
+    Timeline out;
+    auto add = [&out](const std::string& source,
+                      std::vector<telemetry::JournalEvent> events) {
+        for (auto& e : events) out.events.push_back({source, std::move(e)});
+    };
+    add("rtrmgr", telemetry::Journal::current().events());
+    for (const auto& [cls, m] : components_) {
+        auto text = query_field<std::string>(
+            loop_, *mgr_xr_, cls, "telemetry", "1.0", "journal_dump_json",
+            [](const XrlArgs& a) { return a.get_text("text"); }, limit);
+        if (!text) continue;
+        std::vector<telemetry::JournalEvent> events;
+        out.malformed += telemetry::parse_jsonl(*text, events);
+        add(cls, std::move(events));
+    }
+    std::stable_sort(out.events.begin(), out.events.end(),
+                     [](const TimelineEvent& a, const TimelineEvent& b) {
+                         return a.event.t < b.event.t;
+                     });
+    return out;
 }
 
 }  // namespace xrp::rtrmgr

@@ -44,6 +44,7 @@
 #include "ipc/finder_xrl.hpp"
 #include "ipc/router.hpp"
 #include "rtrmgr/supervisor.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::rtrmgr {
 
@@ -198,6 +199,22 @@ public:
                                           std::chrono::seconds(5));
     // fea/1.0 get_fib_size, nullopt-free convenience (0 on failure).
     uint32_t fib_size();
+
+    // One cross-process timeline: every managed component's
+    // telemetry/1.0 journal_dump_json plus the manager's own journal,
+    // merged by t_ns (every process on one host reads the same
+    // CLOCK_MONOTONIC). `source` names the process: a component class,
+    // or "rtrmgr". Components that do not answer within `limit` are left
+    // out; lines that do not parse are skipped and counted.
+    struct TimelineEvent {
+        std::string source;
+        telemetry::JournalEvent event;
+    };
+    struct Timeline {
+        std::vector<TimelineEvent> events;  // oldest first
+        size_t malformed = 0;
+    };
+    Timeline journal_timeline(ev::Duration limit = std::chrono::seconds(5));
 
 private:
     struct Managed {

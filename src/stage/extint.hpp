@@ -115,61 +115,68 @@ private:
     }
 
     // ---- internal side -----------------------------------------------
+    // A cover coming or going can release or retract every external route
+    // parked behind it, so both sides emit through the collector and that
+    // stream leaves as one batch instead of one message per route.
     void add_internal(const RouteT& route) {
-        // Same-prefix conflict with a forwarded external route: settle by
-        // the standard preference order.
-        if (const RouteT* f = forwarded_.find(route.net)) {
-            if (route_preferred(*f, route)) {
-                // External keeps winning; the internal route simply is not
-                // forwarded (it can still resolve nexthops, below).
-                reresolve_after_internal_add(route);
-                return;
+        this->forward_collected([&] {
+            // Same-prefix conflict with a forwarded external route: settle by
+            // the standard preference order.
+            if (const RouteT* f = forwarded_.find(route.net)) {
+                if (route_preferred(*f, route)) {
+                    // External keeps winning; the internal route simply is not
+                    // forwarded (it can still resolve nexthops, below).
+                    reresolve_after_internal_add(route);
+                    return;
+                }
+                // Internal now wins: demote the external to shadowed.
+                RouteT original = *f;
+                original.igp_metric = kUnresolvedMetric;
+                retract(route.net);
+                shadowed_.insert(original.net, original);
             }
-            // Internal now wins: demote the external to shadowed.
-            RouteT original = *f;
-            original.igp_metric = kUnresolvedMetric;
-            retract(route.net);
-            shadowed_.insert(original.net, original);
-        }
-        this->forward_add(route);
-        reresolve_after_internal_add(route);
+            this->forward_add(route);
+            reresolve_after_internal_add(route);
+        });
     }
 
     void delete_internal(const RouteT& route) {
-        if (forwarded_.find(route.net) == nullptr) {
-            this->forward_delete(route);
-        }
-        // else: the internal route was shadowed by an external winner and
-        // was never downstream — drop the delete.
-
-        // An external route this internal one had beaten can now surface.
-        if (const RouteT* s = shadowed_.find(route.net)) {
-            RouteT ext = *s;
-            shadowed_.erase(route.net);
-            auto resolver = int_->lookup_route_lpm(ext.nexthop);
-            if (resolver)
-                emit_resolved(ext, *resolver);
-            else
-                unresolved_.insert(ext.net, ext);
-        }
-
-        // Dependents resolved through this prefix must re-resolve.
-        std::vector<Net> affected;
-        for (const auto& [ext_net, res_net] : resolving_)
-            if (res_net == route.net) affected.push_back(ext_net);
-        for (const Net& ext_net : affected) {
-            const RouteT* f = forwarded_.find(ext_net);
-            if (f == nullptr) continue;
-            RouteT original = *f;
-            original.igp_metric = kUnresolvedMetric;
-            retract(ext_net);
-            auto resolver = int_->lookup_route_lpm(original.nexthop);
-            if (resolver) {
-                emit_resolved(original, *resolver);
-            } else {
-                unresolved_.insert(original.net, original);
+        this->forward_collected([&] {
+            if (forwarded_.find(route.net) == nullptr) {
+                this->forward_delete(route);
             }
-        }
+            // else: the internal route was shadowed by an external winner and
+            // was never downstream — drop the delete.
+
+            // An external route this internal one had beaten can now surface.
+            if (const RouteT* s = shadowed_.find(route.net)) {
+                RouteT ext = *s;
+                shadowed_.erase(route.net);
+                auto resolver = int_->lookup_route_lpm(ext.nexthop);
+                if (resolver)
+                    emit_resolved(ext, *resolver);
+                else
+                    unresolved_.insert(ext.net, ext);
+            }
+
+            // Dependents resolved through this prefix must re-resolve.
+            std::vector<Net> affected;
+            for (const auto& [ext_net, res_net] : resolving_)
+                if (res_net == route.net) affected.push_back(ext_net);
+            for (const Net& ext_net : affected) {
+                const RouteT* f = forwarded_.find(ext_net);
+                if (f == nullptr) continue;
+                RouteT original = *f;
+                original.igp_metric = kUnresolvedMetric;
+                retract(ext_net);
+                auto resolver = int_->lookup_route_lpm(original.nexthop);
+                if (resolver) {
+                    emit_resolved(original, *resolver);
+                } else {
+                    unresolved_.insert(original.net, original);
+                }
+            }
+        });
     }
 
     void reresolve_after_internal_add(const RouteT& internal) {

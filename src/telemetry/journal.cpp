@@ -1,5 +1,7 @@
 #include "telemetry/journal.hpp"
 
+#include <utility>
+
 #include "telemetry/json.hpp"
 
 namespace xrp::telemetry {
@@ -19,9 +21,42 @@ const char* journal_kind_name(JournalKind k) {
         case JournalKind::kCallFailover: return "call_failover";
         case JournalKind::kProcessOutput: return "process_output";
         case JournalKind::kProcessExit: return "process_exit";
+        case JournalKind::kBgpIn: return "bgp_in";
+        case JournalKind::kBgpRibQueued: return "bgp_rib_queued";
+        case JournalKind::kBgpRibSent: return "bgp_rib_sent";
+        case JournalKind::kRibFeaQueued: return "rib_fea_queued";
+        case JournalKind::kRibFeaSent: return "rib_fea_sent";
+        case JournalKind::kFeaIn: return "fea_in";
+        case JournalKind::kXrlSend: return "xrl_send";
+        case JournalKind::kXrlDispatch: return "xrl_dispatch";
     }
     return "unknown";
 }
+
+namespace {
+constexpr auto kLastKind = JournalKind::kXrlDispatch;
+
+std::optional<JournalKind> kind_from_name(std::string_view name) {
+    for (int k = 0; k <= static_cast<int>(kLastKind); ++k) {
+        auto kind = static_cast<JournalKind>(k);
+        if (name == journal_kind_name(kind)) return kind;
+    }
+    return std::nullopt;
+}
+
+// An absent field keeps `out`; a field that is not an exact integer the
+// type can hold makes the line malformed rather than the value rounded or
+// the cast undefined.
+template <class T>
+bool read_int(const json::Value& v, const char* key, T& out) {
+    const json::Value* f = v.find(key);
+    if (f == nullptr) return true;
+    const std::optional<int64_t> n = f->as_int();
+    if (!n || !std::in_range<T>(*n)) return false;
+    out = static_cast<T>(*n);
+    return true;
+}
+}  // namespace
 
 std::string JournalEvent::to_json() const {
     std::string out;
@@ -45,8 +80,52 @@ std::string JournalEvent::to_json() const {
         out += ",\"value\":";
         out += std::to_string(value);
     }
+    if (trace != 0) {
+        out += ",\"trace\":";
+        out += std::to_string(trace);
+    }
+    if (hop != 0) {
+        out += ",\"hop\":";
+        out += std::to_string(hop);
+    }
     out += '}';
     return out;
+}
+
+std::optional<JournalEvent> JournalEvent::from_json(std::string_view line) {
+    auto v = json::Value::parse(line);
+    if (!v || !v->is_object()) return std::nullopt;
+    auto kind = kind_from_name(v->get_string("kind").value_or(""));
+    if (!kind || v->find("t_ns") == nullptr) return std::nullopt;
+    JournalEvent e;
+    e.kind = *kind;
+    int64_t t_ns = 0;
+    if (!read_int(*v, "t_ns", t_ns) || !read_int(*v, "seq", e.seq) ||
+        !read_int(*v, "value", e.value) || !read_int(*v, "trace", e.trace) ||
+        !read_int(*v, "hop", e.hop))
+        return std::nullopt;
+    e.t = ev::TimePoint(ev::Duration(t_ns));
+    e.node = v->get_string("node").value_or("");
+    e.component = v->get_string("component").value_or("");
+    e.subject = v->get_string("subject").value_or("");
+    e.detail = v->get_string("detail").value_or("");
+    return e;
+}
+
+size_t parse_jsonl(std::string_view text, std::vector<JournalEvent>& out) {
+    size_t malformed = 0;
+    while (!text.empty()) {
+        const size_t nl = text.find('\n');
+        const std::string_view line = text.substr(0, nl);
+        text.remove_prefix(nl == std::string_view::npos ? text.size()
+                                                        : nl + 1);
+        if (line.empty()) continue;
+        if (auto e = JournalEvent::from_json(line))
+            out.push_back(std::move(*e));
+        else
+            ++malformed;
+    }
+    return malformed;
 }
 
 Journal& Journal::global() {
@@ -116,6 +195,9 @@ void Journal::record(ev::TimePoint t, JournalKind kind, std::string_view node,
     ev.subject.assign(subject);
     ev.detail.assign(detail);
     ev.value = value;
+    const TraceContext ctx = TraceContext::current();
+    ev.trace = ctx.trace_id;
+    ev.hop = ctx.hop;
 
     std::lock_guard<std::mutex> lk(mu_);
     ev.seq = next_seq_++;

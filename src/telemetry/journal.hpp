@@ -1,9 +1,14 @@
-// Structured event journal: the observability spine of the scenario
-// harness. Components append typed, monotonic-timestamped records —
-// route install/withdraw, FIB write, LSA flood, supervisor
-// death/restart/breaker, injected fault, XRL retry/failover — and the
-// convergence analyzer replays them to reconstruct what the network was
-// doing in between the moments a test happened to look.
+// Structured event journal: the one event spine. Components append
+// typed, monotonic-timestamped records — route install/withdraw, FIB
+// write, LSA flood, supervisor death/restart/breaker, injected fault,
+// XRL retry/failover, and while tracing the paper's §8.2 profiling
+// points and XRL hops — and the convergence analyzer replays them to
+// reconstruct what the network was doing in between the moments a test
+// happened to look. Each event carries the TraceContext it was recorded
+// under, so one route's trip reads off as the events sharing a trace id;
+// every process exports its journal over telemetry/1.0, and since all
+// processes on a host read one CLOCK_MONOTONIC, the exports merge by time
+// into one cross-process timeline (ProcessRouter::journal_timeline).
 //
 // Same discipline as the metrics registry: process-global singleton,
 // disabled by default, and the disabled hot path is one relaxed atomic
@@ -27,11 +32,13 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ev/clock.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xrp::telemetry {
 
@@ -49,6 +56,18 @@ enum class JournalKind : uint8_t {
     kCallFailover,   // reliable call switched ep     subject=target detail=method
     kProcessOutput,  // child process wrote a line    subject=component detail=line
     kProcessExit,    // child process was reaped      subject=component detail=status value=pid
+    // The paper's Fig 10-12 profiling points and the XRL hops between
+    // them (subject=prefix detail=add|delete, or subject=method
+    // detail=family for the hops). Recorded only while tracing is on;
+    // rib_in and kernel_in are route_install/withdraw and fib_add/delete.
+    kBgpIn,          // update entering BGP
+    kBgpRibQueued,   // winner queued for transmission to the RIB
+    kBgpRibSent,     // winner sent to the RIB
+    kRibFeaQueued,   // RIB winner queued for transmission to the FEA
+    kRibFeaSent,     // RIB winner sent to the FEA
+    kFeaIn,          // route arriving at the FEA
+    kXrlSend,        // XRL attempt sent               subject=target/method detail=family
+    kXrlDispatch,    // XRL request dispatched         subject=method detail=family
 };
 
 // Stable machine-readable name ("route_install", "fib_add", ...) used by
@@ -65,10 +84,19 @@ struct JournalEvent {
     std::string subject;    // what it happened to (prefix, LSA, target)
     std::string detail;     // free-form qualifier (nexthop, reason, action)
     int64_t value = 0;      // numeric payload (metric, attempt, seqno)
+    uint64_t trace = 0;     // TraceContext current at record(), 0 = none
+    uint32_t hop = 0;
 
     // One compact JSON object, no trailing newline.
     std::string to_json() const;
+    // The inverse of to_json(); nullopt for a line that is not one event.
+    static std::optional<JournalEvent> from_json(std::string_view line);
 };
+
+// Reads JSON-lines text (to_jsonl() output, e.g. another process's
+// journal_dump_json) into `out`. Malformed lines are skipped; returns
+// how many were.
+size_t parse_jsonl(std::string_view text, std::vector<JournalEvent>& out);
 
 namespace detail {
 // Count of currently-enabled Journal instances. The hot-path guard at
@@ -81,6 +109,12 @@ inline std::atomic<int> g_journal_enabled_count{0};
 
 inline bool journal_enabled() {
     return detail::g_journal_enabled_count.load(std::memory_order_relaxed) > 0;
+}
+
+// Guard for the trace-point kinds (kBgpIn .. kXrlDispatch): they cost a
+// journal write per route per hop, so they also need tracing on.
+inline bool trace_points_enabled() {
+    return tracing_enabled() && journal_enabled();
 }
 
 class Journal {
@@ -113,8 +147,9 @@ public:
     void set_capacity(size_t cap);
     size_t capacity() const;
 
-    // Append one event. No-op while disabled (hooks additionally guard
-    // with journal_enabled() so argument construction is skipped too).
+    // Append one event, stamped with this thread's TraceContext. No-op
+    // while disabled (hooks additionally guard with journal_enabled() so
+    // argument construction is skipped too).
     void record(ev::TimePoint t, JournalKind kind, std::string_view node,
                 std::string_view component, std::string_view subject,
                 std::string_view detail = {}, int64_t value = 0);
@@ -131,6 +166,24 @@ public:
     // JSON-lines export: one event per line, oldest first.
     std::string to_jsonl() const;
 
+    // One trace point per route of a stage batch (detail "add" or
+    // "delete"); a replace is the delete of the old route then the add.
+    template <class Batch>
+    void record_batch(ev::TimePoint t, JournalKind kind,
+                      std::string_view node, std::string_view component,
+                      const Batch& batch) {
+        for (const auto& e : batch.entries()) {
+            using Op = decltype(e.op);
+            if (e.op != Op::kAdd)
+                record(t, kind, node, component,
+                       (e.op == Op::kReplace ? e.old_route : e.route)
+                           .net.str(),
+                       "delete");
+            if (e.op != Op::kDelete)
+                record(t, kind, node, component, e.route.net.str(), "add");
+        }
+    }
+
 private:
     std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
@@ -141,6 +194,14 @@ private:
     uint64_t next_seq_ = 1;
     uint64_t dropped_ = 0;
 };
+
+// An XRL hop (kXrlSend or kXrlDispatch) under the current trace; no-op
+// outside a trace or while trace points are off.
+inline void record_xrl_hop(ev::TimePoint t, JournalKind kind,
+                           std::string_view method, std::string_view family) {
+    if (trace_points_enabled() && TraceContext::current().valid())
+        Journal::current().record(t, kind, {}, "xrl", method, family);
+}
 
 }  // namespace xrp::telemetry
 

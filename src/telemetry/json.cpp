@@ -1,5 +1,6 @@
 #include "telemetry/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -80,7 +81,12 @@ void Value::write(std::string& out, int indent, int depth) const {
     switch (type_) {
         case Type::kNull: out += "null"; return;
         case Type::kBool: out += bool_ ? "true" : "false"; return;
-        case Type::kNumber: write_number(out, num_); return;
+        case Type::kNumber:
+            if (exact_)
+                out += std::to_string(int_);
+            else
+                write_number(out, num_);
+            return;
         case Type::kString: escape_string(out, str_); return;
         case Type::kArray: {
             if (arr_.empty()) {
@@ -290,7 +296,13 @@ struct Parser {
         char* end = nullptr;
         double d = std::strtod(num.c_str(), &end);
         if (end == nullptr || *end != '\0') return false;
-        out = Value(d);
+        int64_t n = 0;
+        const auto [p, ec] =
+            std::from_chars(num.data(), num.data() + num.size(), n);
+        if (ec == std::errc() && p == num.data() + num.size())
+            out = Value(n);
+        else
+            out = Value(d);
         return true;
     }
 };

@@ -4,7 +4,9 @@
 // machine-readable perf trajectory), and the schema validator that CI
 // runs over every emitted bench file. Deliberately small: no SAX, no
 // streaming, no number-type zoo (numbers are doubles, which covers every
-// counter and latency this repo emits); objects preserve insertion order
+// counter and latency this repo emits, except that an integer also keeps
+// its exact int64 value so ids and nanosecond stamps above 2^53 survive a
+// round trip); objects preserve insertion order
 // so emitted files diff cleanly across runs and PRs.
 #ifndef XRP_TELEMETRY_JSON_HPP
 #define XRP_TELEMETRY_JSON_HPP
@@ -26,9 +28,13 @@ public:
     Value(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
     Value(bool b) : type_(Type::kBool), bool_(b) {}
     Value(double d) : type_(Type::kNumber), num_(d) {}
-    Value(int i) : type_(Type::kNumber), num_(i) {}
-    Value(int64_t i) : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-    Value(uint64_t u) : type_(Type::kNumber), num_(static_cast<double>(u)) {}
+    Value(int i) : Value(static_cast<int64_t>(i)) {}
+    Value(int64_t i)
+        : type_(Type::kNumber), num_(static_cast<double>(i)), int_(i),
+          exact_(true) {}
+    Value(uint64_t u)
+        : type_(Type::kNumber), num_(static_cast<double>(u)),
+          int_(static_cast<int64_t>(u)), exact_(u <= INT64_MAX) {}
     Value(const char* s) : type_(Type::kString), str_(s) {}
     Value(std::string s) : type_(Type::kString), str_(std::move(s)) {}
 
@@ -53,6 +59,13 @@ public:
 
     bool as_bool() const { return bool_; }
     double as_number() const { return num_; }
+    // The number as an exact integer: an integer literal or value that
+    // fits int64_t; nullopt for anything else (a fraction, or a double
+    // too large to be exact).
+    std::optional<int64_t> as_int() const {
+        if (exact_) return int_;
+        return std::nullopt;
+    }
     const std::string& as_string() const { return str_; }
 
     // ---- arrays --------------------------------------------------------
@@ -103,6 +116,8 @@ private:
     Type type_ = Type::kNull;
     bool bool_ = false;
     double num_ = 0;
+    int64_t int_ = 0;
+    bool exact_ = false;  // int_ holds the number exactly
     std::string str_;
     std::vector<Value> arr_;
     std::vector<std::pair<std::string, Value>> obj_;

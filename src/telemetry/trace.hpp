@@ -3,8 +3,9 @@
 // that: a trace id plus hop count rides along with every XRL request (an
 // optional trailer in the binary wire format), so any causally-linked
 // chain of calls — BGP → RIB → FEA for a route add — can be reassembled
-// afterwards as one trace with per-hop timestamps, whatever mixture of
-// protocol families the hops used.
+// afterwards as one trace, whatever mixture of protocol families the hops
+// used. The events themselves live in the journal (telemetry/journal.hpp):
+// Journal::record stamps every event with the context below.
 //
 // Mechanics: a thread_local "current context" holds the trace the code is
 // executing under. XrlRouter::send starts a new trace when none is active
@@ -18,25 +19,28 @@
 #ifndef XRP_TELEMETRY_TRACE_HPP
 #define XRP_TELEMETRY_TRACE_HPP
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "ev/clock.hpp"
 
 namespace xrp::telemetry {
 
 namespace detail {
-// Mirror of Tracer::global().enabled(). Hot paths gate on this single
-// relaxed load instead of paying the singleton's init guard plus the
-// thread-local context read on every call.
 inline std::atomic<bool> g_tracing{false};
+// Root ids start at pid << 30, so traces begun in different processes on
+// one host never share an id when their journals merge into one timeline.
+// pid_max is at most 2^22, which keeps every id below 2^52: exact as a
+// JSON number.
+inline std::atomic<uint64_t> g_next_trace_id{
+    (static_cast<uint64_t>(::getpid()) << 30) + 1};
 }  // namespace detail
 
 inline bool tracing_enabled() {
     return detail::g_tracing.load(std::memory_order_relaxed);
+}
+inline void set_tracing_enabled(bool on) {
+    detail::g_tracing.store(on, std::memory_order_relaxed);
 }
 
 struct TraceContext {
@@ -44,97 +48,36 @@ struct TraceContext {
     uint32_t hop = 0;
     bool valid() const { return trace_id != 0; }
     TraceContext next_hop() const { return {trace_id, hop + 1}; }
-};
 
-struct TraceEvent {
-    uint64_t trace_id = 0;
-    uint32_t hop = 0;
-    ev::TimePoint t{};
-    std::string point;   // "send" | "dispatch"
-    std::string detail;  // e.g. "stcp rib/1.0/add_route"
-};
-
-class Tracer {
-public:
-    Tracer() = default;
-    Tracer(const Tracer&) = delete;
-    Tracer& operator=(const Tracer&) = delete;
-
-    static Tracer& global();
-
-    // ---- current context (per-thread = per-event-loop) -----------------
+    // The context this thread (= event loop) is executing under.
     static TraceContext current() { return current_; }
 
-    // RAII: installs `ctx` as current for the receiver-side dispatch (or a
-    // nested send chain), restoring the previous context on destruction.
-    class Scope {
-    public:
-        explicit Scope(TraceContext ctx) : saved_(current_) {
-            current_ = ctx;
-        }
-        ~Scope() { current_ = saved_; }
-        Scope(const Scope&) = delete;
-        Scope& operator=(const Scope&) = delete;
-
-    private:
-        TraceContext saved_;
-    };
-
-    // ---- control --------------------------------------------------------
-    void set_enabled(bool on) {
-        enabled_.store(on, std::memory_order_relaxed);
-        if (this == &global())
-            detail::g_tracing.store(on, std::memory_order_relaxed);
-    }
-    bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-    // Allocates a fresh root context (hop 0). Only meaningful while
-    // enabled; callers guard on enabled() first.
-    TraceContext begin_trace() {
-        return {next_id_.fetch_add(1, std::memory_order_relaxed), 0};
+    // A fresh root context (hop 0). Only meaningful while tracing is
+    // enabled; callers guard on tracing_enabled() first.
+    static TraceContext begin() {
+        return {detail::g_next_trace_id.fetch_add(1, std::memory_order_relaxed),
+                0};
     }
 
-    // ---- recording ------------------------------------------------------
-    // Stores an event in the bounded ring; no-op when disabled or when the
-    // context is invalid.
-    void record(const TraceContext& ctx, ev::TimePoint t, std::string point,
-                std::string detail);
-
-    // Ring capacity; shrinking drops the oldest events.
-    void set_capacity(size_t cap);
-    size_t capacity() const { return capacity_; }
-
-    // ---- extraction -----------------------------------------------------
-    // Events in arrival order (oldest first).
-    std::vector<TraceEvent> events() const;
-    // Events of one trace, in arrival order.
-    std::vector<TraceEvent> events_for(uint64_t trace_id) const;
-    size_t event_count() const;
-    uint64_t dropped() const {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-    void clear();
-
-    // Text dump, one line per event:
-    //   trace=<id> hop=<n> t=<ns> <point> <detail>
-    std::string format() const;
-
-    // Machine-readable dump: one JSON object per line, same event order —
-    //   {"trace":<id>,"hop":<n>,"t_ns":<ns>,"point":"...","detail":"..."}
-    // What the scenario runner and the route-journey assertions consume.
-    std::string format_jsonl() const;
+    // RAII: installs a context as current for the receiver-side dispatch
+    // (or a nested send chain), restoring the previous one on destruction.
+    class Scope;
 
 private:
     static thread_local TraceContext current_;
+};
 
-    std::atomic<bool> enabled_{false};
-    std::atomic<uint64_t> next_id_{1};
-    std::atomic<uint64_t> dropped_{0};
+inline thread_local TraceContext TraceContext::current_{};
 
-    mutable std::mutex mu_;  // ring ops; uncontended in single-loop use
-    std::vector<TraceEvent> ring_;
-    size_t head_ = 0;  // index of oldest when full
-    size_t capacity_ = 65536;
+class TraceContext::Scope {
+public:
+    explicit Scope(TraceContext ctx) : saved_(current_) { current_ = ctx; }
+    ~Scope() { current_ = saved_; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+private:
+    TraceContext saved_;
 };
 
 }  // namespace xrp::telemetry

@@ -28,6 +28,7 @@
 #include "stage/batch.hpp"
 #include "stage/cache.hpp"
 #include "stage/deletion.hpp"
+#include "stage/extint.hpp"
 #include "stage/origin.hpp"
 #include "stage/sink.hpp"
 #include "stage/stale_sweeper.hpp"
@@ -733,6 +734,64 @@ TEST(Collector, RefilterPassesAndBackgroundSlicesLeaveAsBatches) {
     expect_stream(false, survivors);
     EXPECT_EQ(probe.sink.route_count(), 0u);
     EXPECT_TRUE(checker.consistent()) << checker.violations().front();
+}
+
+// An IGP cover coming or going re-resolves every external route parked
+// behind it. Both directions leave ExtInt as one batch carrying the
+// stream the per-route emission would have made: the cover itself, then
+// each dependent in trie order.
+TEST(Collector, ExtIntCoverReleasesAndRetractsParkedRoutesAsOneBatch) {
+    OriginStage<IPv4> ext{"ebgp"};
+    OriginStage<IPv4> igp{"igp"};
+    ExtIntStage<IPv4> extint{"extint"};
+    extint.set_parents(&ext, &igp);
+    tests::StreamProbe<IPv4> probe;
+    extint.set_downstream(&probe.sink);
+    probe.sink.set_upstream(&extint);
+
+    constexpr size_t kParked = 40;
+    for (size_t i = 0; i < kParked; ++i)
+        ext.add_route(mkroute("10." + std::to_string(i) + ".0.0/16",
+                              "192.0.2.1", 1, "ebgp", 20));
+    ASSERT_EQ(extint.unresolved_count(), kParked);
+    EXPECT_TRUE(probe.stream.empty());
+
+    const Route4 cover = mkroute("192.0.2.0/24", "192.0.2.254", 7, "igp", 110);
+    std::vector<std::pair<bool, Route4>> per_route{{true, cover}};
+    ext.table().for_each([&](const IPv4Net&, const Route4& r) {
+        Route4 resolved = r;
+        resolved.igp_metric = cover.metric;
+        per_route.emplace_back(true, resolved);
+    });
+    ASSERT_EQ(per_route.size(), kParked + 1);
+
+    probe.reset();
+    igp.add_route(cover);
+    EXPECT_EQ(probe.batches, 1u);
+    EXPECT_EQ(probe.scalars, 0u);
+    EXPECT_EQ(probe.stream, per_route);
+    EXPECT_EQ(extint.unresolved_count(), 0u);
+
+    // An IGP change that no external route depends on carries just
+    // itself, one message per change.
+    const Route4 other = mkroute("198.51.100.0/24", "192.0.2.254", 3, "igp",
+                                 110);
+    probe.reset();
+    igp.add_route(other);
+    igp.delete_route(other);
+    EXPECT_EQ(probe.batches + probe.scalars, 2u);
+    EXPECT_EQ(probe.stream, (std::vector<std::pair<bool, Route4>>{
+                                {true, other}, {false, other}}));
+
+    // Deleting the cover retracts the same routes the same way.
+    for (auto& [is_add, r] : per_route) is_add = false;
+    probe.reset();
+    igp.delete_route(cover);
+    EXPECT_EQ(probe.batches, 1u);
+    EXPECT_EQ(probe.scalars, 0u);
+    EXPECT_EQ(probe.stream, per_route);
+    EXPECT_EQ(extint.unresolved_count(), kParked);
+    EXPECT_EQ(probe.sink.route_count(), 0u);
 }
 
 // ---- the equivalence oracle (whole RIB) ---------------------------------

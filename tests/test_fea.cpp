@@ -4,6 +4,7 @@
 
 #include "ev/eventloop.hpp"
 #include "fea/fea.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace xrp::fea;
@@ -187,16 +188,30 @@ TEST(Fea, UdpPortConflictRefused) {
 }
 
 TEST(Fea, ProfilerPointsFire) {
+    // "Arriving at FEA" is a trace point; "Entering kernel" is the
+    // journal's fib_add/fib_delete.
     ev::VirtualClock clock;
     ev::EventLoop loop(clock);
     Fea fea(loop);
-    profiler::Profiler prof(loop);
-    fea.set_profiler(&prof);
-    prof.enable("fea_in");
-    prof.enable("kernel_in");
+    telemetry::Journal j;
+    telemetry::Journal* prev = telemetry::Journal::set_thread_override(&j);
+    j.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
     fea.add_route(IPv4Net::must_parse("10.0.0.0/8"),
                   IPv4::must_parse("192.0.2.1"));
-    ASSERT_EQ(prof.records("fea_in").size(), 1u);
-    EXPECT_EQ(prof.records("fea_in")[0].payload, "add 10.0.0.0/8");
-    EXPECT_EQ(prof.records("kernel_in").size(), 1u);
+    fea.delete_route(IPv4Net::must_parse("10.0.0.0/8"));
+    telemetry::set_tracing_enabled(false);
+    j.set_enabled(false);
+    telemetry::Journal::set_thread_override(prev);
+
+    std::vector<std::string> seen;
+    for (const auto& e : j.events())
+        seen.push_back(std::string(telemetry::journal_kind_name(e.kind)) +
+                       " " + e.subject + " " + e.detail);
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "fea_in 10.0.0.0/8 add",
+                        "fib_add 10.0.0.0/8 192.0.2.1:",
+                        "fea_in 10.0.0.0/8 delete",
+                        "fib_delete 10.0.0.0/8 ",
+                    }));
 }

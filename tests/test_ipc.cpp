@@ -13,7 +13,7 @@
 #include "ipc/router.hpp"
 #include "ipc/wire.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace xrp::ipc;
@@ -1221,9 +1221,10 @@ TEST(CallContract, RetriesCarryOneTraceIdAndHop) {
     XrlRouter client(plexus, "client");
     ASSERT_TRUE(client.finalize());
 
-    auto& tracer = telemetry::Tracer::global();
-    tracer.clear();
-    tracer.set_enabled(true);
+    auto& journal = telemetry::Journal::global();
+    journal.clear();
+    journal.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
 
     FaultInjector::Plan plan;
     plan.drop_first = 2;
@@ -1243,23 +1244,24 @@ TEST(CallContract, RetriesCarryOneTraceIdAndHop) {
                     done = true;
                 });
     ASSERT_TRUE(plexus.loop.run_until([&] { return done; }, 10s));
-    tracer.set_enabled(false);
+    telemetry::set_tracing_enabled(false);
+    journal.set_enabled(false);
     ASSERT_TRUE(sum.has_value());
     EXPECT_EQ(*sum, 42u);
     EXPECT_EQ(plexus.faults.stats().drops, 2u);
 
     size_t sends = 0;
-    for (const telemetry::TraceEvent& ev : tracer.events()) {
-        if (ev.point != "send" ||
-            ev.detail.find("calc/1.0/add") == std::string::npos)
+    for (const telemetry::JournalEvent& ev : journal.events()) {
+        if (ev.kind != telemetry::JournalKind::kXrlSend ||
+            ev.subject.find("calc/1.0/add") == std::string::npos)
             continue;
         ++sends;
-        EXPECT_EQ(ev.trace_id, pinned.trace_id) << ev.detail;
-        EXPECT_EQ(ev.hop, pinned.hop) << ev.detail;
+        EXPECT_EQ(ev.trace, pinned.trace_id) << ev.subject;
+        EXPECT_EQ(ev.hop, pinned.hop) << ev.subject;
     }
     // Attempt 1 and two retries, all under the pinned identity.
     EXPECT_GE(sends, 3u);
-    tracer.clear();
+    journal.clear();
 }
 
 TEST(CallContract, FailoverKeepsTheTraceContext) {
@@ -1272,9 +1274,10 @@ TEST(CallContract, FailoverKeepsTheTraceContext) {
     XrlRouter client(plexus, "client");
     ASSERT_TRUE(client.finalize());
 
-    auto& tracer = telemetry::Tracer::global();
-    tracer.clear();
-    tracer.set_enabled(true);
+    auto& journal = telemetry::Journal::global();
+    journal.clear();
+    journal.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
 
     FaultInjector::Plan kill;
     kill.kill_channel = true;
@@ -1295,20 +1298,21 @@ TEST(CallContract, FailoverKeepsTheTraceContext) {
                     done = true;
                 });
     ASSERT_TRUE(plexus.loop.run_until([&] { return done; }, 10s));
-    tracer.set_enabled(false);
+    telemetry::set_tracing_enabled(false);
+    journal.set_enabled(false);
     ASSERT_TRUE(sum.has_value());
     EXPECT_EQ(*sum, 42u);
     EXPECT_GE(ctr("xrl_call_failovers_total") - failovers0, 1u);
 
     size_t sends = 0;
-    for (const telemetry::TraceEvent& ev : tracer.events()) {
-        if (ev.point != "send" ||
-            ev.detail.find("calc/1.0/add") == std::string::npos)
+    for (const telemetry::JournalEvent& ev : journal.events()) {
+        if (ev.kind != telemetry::JournalKind::kXrlSend ||
+            ev.subject.find("calc/1.0/add") == std::string::npos)
             continue;
         ++sends;
-        EXPECT_EQ(ev.trace_id, pinned.trace_id) << ev.detail;
-        EXPECT_EQ(ev.hop, pinned.hop) << ev.detail;
+        EXPECT_EQ(ev.trace, pinned.trace_id) << ev.subject;
+        EXPECT_EQ(ev.hop, pinned.hop) << ev.subject;
     }
     EXPECT_GE(sends, 1u);
-    tracer.clear();
+    journal.clear();
 }

@@ -1,44 +1,17 @@
-// Coverage for the remaining corners: the profiler's paper-format output
-// (§8.2), the simulation stats helpers, XRL atom fuzz round-trips, the
-// UDP listener's garbage handling, Router Manager BGP configuration, and
-// event-loop timing details the rest of the system leans on.
+// Coverage for the remaining corners: the simulation stats helpers, XRL
+// atom fuzz round-trips, the UDP listener's garbage handling, Router
+// Manager BGP configuration, and event-loop timing details the rest of
+// the system leans on.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "ipc/router.hpp"
-#include "profiler/profiler.hpp"
 #include "rtrmgr/rtrmgr.hpp"
 #include "sim/harness.hpp"
 
 using namespace xrp;
 using namespace std::chrono_literals;
-
-TEST(Profiler, RecordsOnlyWhenEnabled) {
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    profiler::Profiler prof(loop);
-    prof.add_point("route_ribin");
-    prof.record("route_ribin", "add 10.0.1.0/24");  // disabled: dropped
-    EXPECT_TRUE(prof.records("route_ribin").empty());
-
-    prof.enable("route_ribin");
-    clock.advance_to(ev::TimePoint(std::chrono::seconds(1097173928) +
-                                   std::chrono::microseconds(664085)));
-    prof.record("route_ribin", "add 10.0.1.0/24");
-    ASSERT_EQ(prof.records("route_ribin").size(), 1u);
-
-    // The paper's §8.2 record format, byte for byte.
-    EXPECT_EQ(prof.format("route_ribin"),
-              "route_ribin 1097173928 664085 add 10.0.1.0/24\n");
-
-    prof.disable("route_ribin");
-    prof.record("route_ribin", "add 10.0.2.0/24");
-    EXPECT_EQ(prof.records("route_ribin").size(), 1u);
-    prof.clear("route_ribin");
-    EXPECT_TRUE(prof.records("route_ribin").empty());
-    EXPECT_EQ(prof.records("nonexistent").size(), 0u);
-}
 
 TEST(XrlAtomProperty, RandomAtomsSurviveTextAndWire) {
     // Fuzz-ish property: arbitrary atoms round-trip both encodings.

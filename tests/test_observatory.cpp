@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -182,6 +183,161 @@ TEST(Journal, JsonlExportParsesLineByLine) {
     // references these strings.
     EXPECT_EQ(kinds[0], "fib_add");
     EXPECT_EQ(kinds[1], "call_retry");
+}
+
+TEST(Journal, JsonlReaderRoundTripsAndCountsMalformedLines) {
+    JournalOn scope;
+    Journal& j = Journal::global();
+    j.record(at(1), JournalKind::kFibAdd, "r3", "fea", "10.2.0.0/24",
+             "10.1.0.2:eth1", 0);
+    {
+        telemetry::TraceContext::Scope trace(telemetry::TraceContext{42, 2});
+        j.record(at(2), JournalKind::kXrlDispatch, "", "xrl",
+                 "fea/1.0/add_route4#k", "stcp", -7);
+    }
+    const std::vector<JournalEvent> want = j.events();
+    std::vector<JournalEvent> got;
+    const std::string text = "garbage\n" + j.to_jsonl() +
+                             "{\"kind\":\"no_such_kind\",\"t_ns\":1}\n"
+                             "{\"kind\":\"fib_add\",\"t_ns\":1e300}\n\n";
+    EXPECT_EQ(telemetry::parse_jsonl(text, got), 3u);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(got[i].to_json(), want[i].to_json());
+    EXPECT_EQ(got[1].trace, 42u);
+    EXPECT_EQ(got[1].hop, 2u);
+}
+
+// Integers above 2^53 (a monotonic stamp after ~104 days of uptime, a
+// large trace id) are not exact as doubles: the reader keeps them exact,
+// and refuses a number it could only round.
+TEST(Journal, JsonlReaderKeepsLargeIntegersExact) {
+    JournalOn scope;
+    Journal& j = Journal::global();
+    constexpr int64_t kT = (int64_t{1} << 53) + 1;
+    constexpr uint64_t kTrace = (uint64_t{1} << 53) + 3;
+    {
+        telemetry::TraceContext::Scope trace(telemetry::TraceContext{kTrace, 1});
+        j.record(ev::TimePoint(ev::Duration(kT)), JournalKind::kFibAdd, "r1",
+                 "fea", "10.0.0.0/8");
+    }
+    std::vector<JournalEvent> got;
+    const std::string text =
+        j.to_jsonl() +
+        "{\"kind\":\"fib_add\",\"t_ns\":9007199254740993.5}\n"
+        "{\"kind\":\"fib_add\",\"t_ns\":1e17}\n"
+        "{\"kind\":\"fib_add\",\"t_ns\":1,\"seq\":-1}\n"
+        "{\"kind\":\"fib_add\",\"t_ns\":99999999999999999999}\n";
+    EXPECT_EQ(telemetry::parse_jsonl(text, got), 4u);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].t.time_since_epoch().count(), kT);
+    EXPECT_EQ(got[0].trace, kTrace);
+    EXPECT_EQ(got[0].to_json(), j.events()[0].to_json());
+}
+
+namespace {
+
+// One seeded mutation of `text`: byte flips, inserts (biased towards
+// JSON structure and line breaks), truncations and slice duplications.
+std::string mutate(const std::string& text, std::mt19937& rng) {
+    static const char kStructural[] = "{}[]\",:\\\n0-e.u";
+    std::string out = text;
+    const int edits = 1 + static_cast<int>(rng() % 4);
+    for (int k = 0; k < edits && !out.empty(); ++k) {
+        const size_t at = rng() % out.size();
+        switch (rng() % 4) {
+        case 0:
+            out[at] = static_cast<char>(out[at] ^ (1u << (rng() % 8)));
+            break;
+        case 1:
+            out.insert(out.begin() + static_cast<long>(at),
+                       kStructural[rng() % (sizeof kStructural - 1)]);
+            break;
+        case 2:
+            out.resize(at);
+            break;
+        default: {
+            const size_t len = rng() % (out.size() - at) + 1;
+            out.insert(at, out.substr(at, len));
+            break;
+        }
+        }
+    }
+    return out;
+}
+
+// Nodes plus string bytes a parsed document holds: the parser's memory
+// is bounded by its input when this never exceeds the input's size.
+size_t footprint(const json::Value& v) {
+    size_t n = 1 + v.as_string().size();
+    for (const json::Value& item : v.items()) n += footprint(item);
+    for (const auto& [key, member] : v.members())
+        n += key.size() + footprint(member);
+    return n;
+}
+
+std::string seed_jsonl() {
+    Journal j;
+    j.set_enabled(true);
+    j.record(at(1), JournalKind::kRouteInstall, "r1", "rib", "10.0.0.0/8",
+             "static:192.0.2.9", 1);
+    telemetry::TraceContext::Scope trace(telemetry::TraceContext{7, 1});
+    j.record(at(2), JournalKind::kXrlDispatch, "", "xrl",
+             "rib/1.0/add_route", "stcp");
+    j.record(at(3), JournalKind::kFibAdd, "r1", "fea", "10.0.0.0/8",
+             "192.0.2.9:eth0 \"quoted\" \\ \u00e9");
+    return j.to_jsonl();
+}
+
+}  // namespace
+
+// Seeded mutation fuzz of the line reader ProcessRouter::journal_timeline
+// runs over other processes' journal_dump_json: every non-empty line is
+// either one event or one counted malformed line, no event outgrows its
+// line, and nothing crashes (ci.sh runs this under ASan+UBSan).
+TEST(Journal, JsonlReaderSurvivesSeededMutations) {
+    const std::string valid = seed_jsonl();
+    std::mt19937 rng(1777);
+    size_t accepted = 0;
+    size_t rejected = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::string text = mutate(valid, rng);
+        size_t lines = 0;
+        std::istringstream in(text);
+        for (std::string line; std::getline(in, line);)
+            if (!line.empty()) ++lines;
+        std::vector<JournalEvent> events;
+        const size_t malformed = telemetry::parse_jsonl(text, events);
+        ASSERT_EQ(events.size() + malformed, lines) << "iteration " << iter;
+        size_t bytes = 0;
+        for (const JournalEvent& e : events)
+            bytes += e.node.size() + e.component.size() + e.subject.size() +
+                     e.detail.size();
+        ASSERT_LE(bytes, text.size()) << "iteration " << iter;
+        accepted += events.size();
+        rejected += malformed;
+    }
+    // The fuzz must reach both the accept and the reject path.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(Json, ParseSurvivesSeededMutations) {
+    const std::string doc =
+        R"({"schema":"xrp-bench-v1","meta":{"nproc":4,"ok":true,)"
+        R"("none":null},"rows":[{"figure":"fig10","avg_ms":0.0751,)"
+        R"("cdf":[1,5,1e-3,-2.5E+2,[[[]]],{}],"s":"a\"b\\c\u00e9\n"}]})";
+    ASSERT_TRUE(json::Value::parse(doc).has_value());
+    std::mt19937 rng(2005);
+    size_t accepted = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::string text = mutate(doc, rng);
+        auto v = json::Value::parse(text);
+        if (!v) continue;
+        ++accepted;
+        ASSERT_LE(footprint(*v), text.size()) << "iteration " << iter;
+    }
+    EXPECT_GT(accepted, 0u);
 }
 
 // ---- analyzer vs hand-built timelines ----------------------------------

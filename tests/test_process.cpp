@@ -15,6 +15,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "ev/eventloop.hpp"
 #include "ipc/router.hpp"
 #include "rtrmgr/process.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace std::chrono_literals;
@@ -308,6 +312,172 @@ TEST(Supervisor, CleanExitsNeverTripTheCrashLoopBreaker) {
     }
     EXPECT_EQ(f.router.supervisor().restart_count("bgp"), 5u);
     EXPECT_FALSE(f.router.supervisor().any_failed());
+}
+
+namespace {
+
+// A ProcessRouter whose components, and the manager itself, have the
+// journal and tracing switched on over telemetry/1.0.
+struct TracedRouter {
+    ev::RealClock clock;
+    ev::EventLoop loop{clock};
+    ProcessRouter router{loop};
+    std::unique_ptr<ipc::XrlRouter> mgr;
+    bool ok = false;
+
+    explicit TracedRouter(const std::vector<std::string>& classes) {
+        std::vector<ProcessRouter::ComponentSpec> specs(classes.size());
+        for (size_t i = 0; i < classes.size(); ++i) specs[i].cls = classes[i];
+        if (!router.start(specs) || !router.wait_all_ready(60s)) return;
+        mgr = std::make_unique<ipc::XrlRouter>(router.plexus(), "probe", true);
+        if (!mgr->finalize()) return;
+        xrl::XrlArgs on;
+        on.add("on", true);
+        for (const std::string& cls : classes)
+            for (const char* verb :
+                 {"journal_enable", "journal_clear", "trace_enable"})
+                if (!call(cls, "telemetry", verb,
+                          std::string(verb) == "journal_clear"
+                              ? xrl::XrlArgs{}
+                              : on))
+                    return;
+        auto& journal = telemetry::Journal::global();
+        journal.clear();
+        journal.set_enabled(true);
+        telemetry::set_tracing_enabled(true);
+        ok = true;
+    }
+    ~TracedRouter() {
+        telemetry::set_tracing_enabled(false);
+        telemetry::Journal::global().set_enabled(false);
+        telemetry::Journal::global().clear();
+    }
+
+    bool call(const std::string& target, const std::string& iface,
+              const std::string& method, const xrl::XrlArgs& args) {
+        bool done = false;
+        bool good = false;
+        mgr->call(xrl::Xrl::generic(target, iface, "1.0", method, args),
+                  ipc::CallOptions::reliable(),
+                  [&](const xrl::XrlError& err, const xrl::XrlArgs&) {
+                      good = err.ok();
+                      done = true;
+                  });
+        EXPECT_TRUE(drive_until(loop, [&] { return done; }, 10000ms));
+        return good;
+    }
+    bool add_static(const char* net, const char* nexthop) {
+        xrl::XrlArgs route;
+        route.add("protocol", std::string("static"))
+            .add("net", net::IPv4Net::must_parse(net))
+            .add("nexthop", net::IPv4::must_parse(nexthop))
+            .add("metric", uint32_t{1});
+        return call("rib", "rib", "add_route", route);
+    }
+    bool wait_fib(size_t n) {
+        return drive_until(
+            loop, [&] { return router.fib_size() == n; }, 10000ms);
+    }
+
+    // The trace rooted by the hop-0 xrl_send `source` made of `subject`.
+    static uint64_t root_of(const ProcessRouter::Timeline& timeline,
+                            const std::string& source,
+                            const std::string& subject) {
+        for (const auto& te : timeline.events)
+            if (te.source == source && te.event.hop == 0 &&
+                te.event.kind == telemetry::JournalKind::kXrlSend &&
+                te.event.subject == subject)
+                return te.event.trace;
+        return 0;
+    }
+    // "<source> <hop> <kind>" for every event of one trace, in time order.
+    static std::vector<std::string> trip(
+        const ProcessRouter::Timeline& timeline, uint64_t trace) {
+        std::vector<std::string> out;
+        for (size_t i = 0; i < timeline.events.size(); ++i) {
+            const auto& te = timeline.events[i];
+            if (i > 0) {
+                EXPECT_LE(timeline.events[i - 1].event.t, te.event.t);
+            }
+            if (te.event.trace != trace) continue;
+            out.push_back(te.source + " " + std::to_string(te.event.hop) +
+                          " " + telemetry::journal_kind_name(te.event.kind));
+        }
+        return out;
+    }
+};
+
+}  // namespace
+
+TEST(Timeline, OneRouteAddReadsAcrossThreeProcesses) {
+    // Manager, RIB and FEA as three processes: one rib/1.0/add_route from
+    // the manager must read off the merged timeline as one trace, hop by
+    // hop.
+    TracedRouter f({"fea", "rib"});
+    ASSERT_TRUE(f.ok);
+    ASSERT_TRUE(f.add_static("10.77.0.0/16", "192.0.2.9"));
+    ASSERT_TRUE(f.wait_fib(1));
+    telemetry::set_tracing_enabled(false);
+
+    const ProcessRouter::Timeline timeline = f.router.journal_timeline();
+    EXPECT_EQ(timeline.malformed, 0u);
+    const uint64_t trace =
+        TracedRouter::root_of(timeline, "rtrmgr", "rib/rib/1.0/add_route");
+    ASSERT_NE(trace, 0u);
+    EXPECT_EQ(TracedRouter::trip(timeline, trace),
+              (std::vector<std::string>{
+                  "rtrmgr 0 xrl_send",
+                  "rib 1 xrl_dispatch",
+                  "rib 1 route_install",
+                  "rib 1 rib_fea_queued",
+                  "rib 1 rib_fea_sent",
+                  "rib 1 xrl_send",
+                  "fea 2 xrl_dispatch",
+                  "fea 2 fea_in",
+                  "fea 2 fib_add",
+              }));
+}
+
+TEST(Timeline, TracesRootedInDifferentProcessesStaySeparate) {
+    // The manager roots a trace for each of its calls. The RIB roots one
+    // when its stale sweep, run off a timer rather than a dispatch, sends
+    // the FEA a delete. Each trace id must have one root, and the RIB's
+    // trip must read rib → fea without manager events.
+    TracedRouter f({"fea", "rib"});
+    ASSERT_TRUE(f.ok);
+    xrl::XrlArgs no_grace;
+    no_grace.add("protocol", std::string("static")).add("seconds", uint32_t{0});
+    ASSERT_TRUE(f.call("rib", "rib", "set_grace_period", no_grace));
+    ASSERT_TRUE(f.add_static("10.77.0.0/16", "192.0.2.9"));
+    ASSERT_TRUE(f.wait_fib(1));
+    xrl::XrlArgs dead;
+    dead.add("protocol", std::string("static"));
+    ASSERT_TRUE(f.call("rib", "rib", "origin_dead", dead));
+    ASSERT_TRUE(f.wait_fib(0));
+    telemetry::set_tracing_enabled(false);
+
+    const ProcessRouter::Timeline timeline = f.router.journal_timeline();
+    EXPECT_EQ(timeline.malformed, 0u);
+    std::map<uint64_t, std::set<std::string>> roots;
+    uint64_t rib_trace = 0;
+    for (const auto& te : timeline.events) {
+        if (te.event.trace == 0 || te.event.hop != 0) continue;
+        roots[te.event.trace].insert(te.source);
+        if (te.source == "rib" &&
+            te.event.kind == telemetry::JournalKind::kXrlSend)
+            rib_trace = te.event.trace;
+    }
+    EXPECT_GE(roots.size(), 4u);  // three manager calls and the sweep
+    for (const auto& [trace, sources] : roots)
+        EXPECT_EQ(sources.size(), 1u) << "trace " << trace;
+    ASSERT_NE(rib_trace, 0u);
+    EXPECT_EQ(TracedRouter::trip(timeline, rib_trace),
+              (std::vector<std::string>{
+                  "rib 0 xrl_send",
+                  "fea 1 xrl_dispatch",
+                  "fea 1 fea_in",
+                  "fea 1 fib_delete",
+              }));
 }
 
 TEST(OrphanCleanup, SigkilledManagerTakesItsComponentsWithIt) {

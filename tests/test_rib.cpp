@@ -8,6 +8,7 @@
 
 #include "ev/eventloop.hpp"
 #include "rib/rib.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace xrp::rib;
@@ -213,15 +214,35 @@ TEST(Rib, RegisterInterestNoRoute) {
 }
 
 TEST(Rib, ProfilerPointsFire) {
+    // The paper's "Arriving at the RIB" is the journal's route_install;
+    // "Queued for transmission to the FEA" is a trace point that needs
+    // tracing on as well.
     RibFixture f;
-    profiler::Profiler prof(f.loop);
-    f.rib.set_profiler(&prof);
-    prof.enable("rib_in");
-    prof.enable("rib_fea_queued");
+    telemetry::Journal j;
+    telemetry::Journal* prev = telemetry::Journal::set_thread_override(&j);
+    j.set_enabled(true);
     f.rib.add_route("static", IPv4Net::must_parse("10.0.0.0/8"),
                     IPv4::must_parse("192.0.2.9"));
-    EXPECT_EQ(prof.records("rib_in").size(), 1u);
-    EXPECT_EQ(prof.records("rib_fea_queued").size(), 1u);
+    telemetry::set_tracing_enabled(true);
+    f.rib.add_route("static", IPv4Net::must_parse("10.1.0.0/16"),
+                    IPv4::must_parse("192.0.2.9"));
+    telemetry::set_tracing_enabled(false);
+    j.set_enabled(false);
+    telemetry::Journal::set_thread_override(prev);
+
+    std::vector<std::string> seen;
+    for (const auto& e : j.events())
+        seen.push_back(std::string(telemetry::journal_kind_name(e.kind)) +
+                       " " + e.subject + " " + e.detail);
+    // The fixture's FEA is direct, so its events follow in line.
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "route_install 10.0.0.0/8 static:192.0.2.9",
+                        "fib_add 10.0.0.0/8 192.0.2.9:eth0",
+                        "route_install 10.1.0.0/16 static:192.0.2.9",
+                        "rib_fea_queued 10.1.0.0/16 add",
+                        "fea_in 10.1.0.0/16 add",
+                        "fib_add 10.1.0.0/16 192.0.2.9:eth0",
+                    }));
 }
 
 TEST(Rib, RedistStagesAreDynamicAndIndependent) {

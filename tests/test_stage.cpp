@@ -6,6 +6,7 @@
 // interest registration (Figure 8).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 
 #include "ev/eventloop.hpp"
@@ -553,27 +554,40 @@ TEST(FanoutStage, DuplicatesToAllBranches) {
 }
 
 TEST(FanoutStage, SlowReaderQueuesAndResumes) {
-    OriginStage<IPv4> origin("peer0");
-    FanoutStage<IPv4> fanout("fanout");
-    SinkStage<IPv4> fast("fast"), slow("slow");
-    origin.set_downstream(&fanout);
-    fanout.set_upstream(&origin);
-    fanout.add_branch(&fast);
-    int slow_id = fanout.add_branch(&slow);
+    // §5.1.1: one change queue with n readers. Whatever the peer count,
+    // the queue holds the slow peer's lag exactly once, and it drains to
+    // empty once that peer catches up.
+    constexpr uint32_t kLag = 100;
+    for (int npeers : {2, 4, 8, 16, 32}) {
+        SCOPED_TRACE(npeers);
+        OriginStage<IPv4> origin("peer0");
+        FanoutStage<IPv4> fanout("fanout");
+        origin.set_downstream(&fanout);
+        fanout.set_upstream(&origin);
+        std::vector<std::unique_ptr<SinkStage<IPv4>>> sinks;
+        int slow_id = -1;
+        for (int i = 0; i < npeers; ++i) {
+            sinks.push_back(
+                std::make_unique<SinkStage<IPv4>>("peer" + std::to_string(i)));
+            slow_id = fanout.add_branch(sinks.back().get());
+        }
+        SinkStage<IPv4>& slow = *sinks.back();
 
-    fanout.set_branch_ready(slow_id, false);  // backpressure
-    for (uint32_t i = 1; i <= 100; ++i)
-        origin.add_route(mkroute((std::to_string(i) + ".0.0.0/8").c_str()));
+        fanout.set_branch_ready(slow_id, false);  // backpressure
+        for (uint32_t i = 1; i <= kLag; ++i)
+            origin.add_route(
+                mkroute((std::to_string(i) + ".0.0.0/8").c_str()));
 
-    EXPECT_EQ(fast.route_count(), 100u);
-    EXPECT_EQ(slow.route_count(), 0u);
-    // The single queue holds the changes the slow peer hasn't consumed.
-    EXPECT_EQ(fanout.queue_size(), 100u);
-    EXPECT_EQ(fanout.max_lag(), 100u);
+        for (int i = 0; i + 1 < npeers; ++i)
+            EXPECT_EQ(sinks[i]->route_count(), kLag);
+        EXPECT_EQ(slow.route_count(), 0u);
+        EXPECT_EQ(fanout.queue_size(), kLag);
+        EXPECT_EQ(fanout.max_lag(), kLag);
 
-    fanout.set_branch_ready(slow_id, true);  // peer drained
-    EXPECT_EQ(slow.route_count(), 100u);
-    EXPECT_EQ(fanout.queue_size(), 0u);  // GC'd once everyone consumed
+        fanout.set_branch_ready(slow_id, true);  // peer drained
+        EXPECT_EQ(slow.route_count(), kLag);
+        EXPECT_EQ(fanout.queue_size(), 0u);  // GC'd once everyone consumed
+    }
 }
 
 TEST(FanoutStage, LateBranchJoinsAtTail) {

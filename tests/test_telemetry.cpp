@@ -1,8 +1,8 @@
 // Telemetry tests: registry semantics, histogram percentile math, the
 // optional trace trailer on the wire (backward compatible), trace
-// propagation across all three XRL protocol families, the handle-based
-// profiler API, and the paper's Figures 10-12 chain — BGP -> RIB -> FEA
-// reassembled as one causally-linked trace.
+// propagation across all three XRL protocol families as journal events,
+// and the paper's Figures 10-12 chain — BGP -> RIB -> FEA reassembled as
+// one causally-linked trace.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,7 +11,6 @@
 
 #include "ipc/router.hpp"
 #include "ipc/wire.hpp"
-#include "profiler/profiler.hpp"
 #include "rtrmgr/rtrmgr.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/json.hpp"
@@ -20,25 +19,35 @@
 
 using namespace xrp;
 using namespace std::chrono_literals;
+using telemetry::Journal;
+using telemetry::JournalEvent;
+using telemetry::JournalKind;
 using telemetry::Registry;
 using telemetry::TraceContext;
-using telemetry::TraceEvent;
-using telemetry::Tracer;
 using xrl::Xrl;
 using xrl::XrlArgs;
 using xrl::XrlError;
 
 namespace {
 
-// Tracing tests share the process-global Tracer; scope its enablement.
+// Tracing tests share the process-global journal and tracing flag;
+// scope both.
 class TracingOn {
 public:
     TracingOn() {
-        Tracer::global().clear();
-        Tracer::global().set_enabled(true);
+        Journal::global().clear();
+        Journal::global().set_enabled(true);
+        telemetry::set_tracing_enabled(true);
     }
-    ~TracingOn() { Tracer::global().set_enabled(false); }
+    ~TracingOn() {
+        telemetry::set_tracing_enabled(false);
+        Journal::global().set_enabled(false);
+    }
 };
+
+bool contains(const std::string& s, const char* part) {
+    return s.find(part) != std::string::npos;
+}
 
 // A two-tier service: "front" forwards every go() to "leaf" on "back",
 // so one client call produces a nested send — the shape that exercises
@@ -93,31 +102,33 @@ void run_chain(ipc::Plexus& plexus, ipc::XrlRouter& client,
     plexus.loop.run_for(200ms);
 }
 
-// Asserts the tracer holds exactly one trace linking go() and leaf()
-// dispatches over `family`, with the hop count deepening downstream.
+// Asserts the journal holds one trace linking go() and leaf() dispatches
+// over `family`, with the hop count deepening downstream.
 void expect_chain_trace(const std::string& family) {
+    const std::vector<JournalEvent> events = Journal::global().events();
     uint64_t id = 0;
-    for (const TraceEvent& e : Tracer::global().events())
-        if (e.point == "dispatch" &&
-            e.detail.find("chain/1.0/leaf") != std::string::npos) {
-            id = e.trace_id;
+    for (const JournalEvent& e : events)
+        if (e.kind == JournalKind::kXrlDispatch &&
+            contains(e.subject, "chain/1.0/leaf")) {
+            id = e.trace;
             break;
         }
     ASSERT_NE(id, 0u) << "no leaf dispatch recorded:\n"
-                      << Tracer::global().format();
+                      << Journal::global().to_jsonl();
 
     int go_hop = -1;
     int leaf_hop = -1;
-    for (const TraceEvent& e : Tracer::global().events_for(id)) {
-        EXPECT_EQ(e.detail.substr(0, family.size() + 1), family + " ");
-        if (e.point != "dispatch") continue;
-        if (e.detail.find("chain/1.0/go") != std::string::npos)
+    for (const JournalEvent& e : events) {
+        if (e.trace != id) continue;
+        EXPECT_EQ(e.detail, family);
+        if (e.kind != JournalKind::kXrlDispatch) continue;
+        if (contains(e.subject, "chain/1.0/go"))
             go_hop = static_cast<int>(e.hop);
-        if (e.detail.find("chain/1.0/leaf") != std::string::npos)
+        if (contains(e.subject, "chain/1.0/leaf"))
             leaf_hop = static_cast<int>(e.hop);
     }
-    ASSERT_GE(go_hop, 0) << Tracer::global().format();
-    ASSERT_GE(leaf_hop, 0) << Tracer::global().format();
+    ASSERT_GE(go_hop, 0) << Journal::global().to_jsonl();
+    ASSERT_GE(leaf_hop, 0) << Journal::global().to_jsonl();
     EXPECT_LT(go_hop, leaf_hop);
 }
 
@@ -316,28 +327,40 @@ TEST(Trace, PropagatesAcrossUdp) {
 }
 
 TEST(Trace, DisabledTracingRecordsNothing) {
-    Tracer::global().clear();
-    ASSERT_FALSE(Tracer::global().enabled());
+    // The journal is on but tracing is off: XRL hops are trace points,
+    // so nothing is recorded.
+    ASSERT_FALSE(telemetry::tracing_enabled());
+    Journal::global().clear();
+    Journal::global().set_enabled(true);
     ev::RealClock clock;
     ipc::Plexus plexus(clock);
     ChainServers servers(plexus);
     ipc::XrlRouter client(plexus, "cli");
     client.finalize();
     run_chain(plexus, client, servers, "inproc");
-    EXPECT_EQ(Tracer::global().event_count(), 0u);
+    Journal::global().set_enabled(false);
+    EXPECT_EQ(Journal::global().event_count(), 0u)
+        << Journal::global().to_jsonl();
 }
 
 TEST(Trace, RingDropsOldestBeyondCapacity) {
-    Tracer t;
-    t.set_enabled(true);
-    t.set_capacity(4);
-    for (uint64_t i = 1; i <= 6; ++i)
-        t.record({i, 0}, ev::TimePoint{}, "send", "m");
-    EXPECT_EQ(t.event_count(), 4u);
-    EXPECT_EQ(t.dropped(), 2u);
-    auto evs = t.events();
-    EXPECT_EQ(evs.front().trace_id, 3u);  // 1 and 2 were dropped
-    EXPECT_EQ(evs.back().trace_id, 6u);
+    // Trace events share the journal's bounded ring: beyond capacity the
+    // oldest go, and the survivors keep their trace stamps.
+    Journal j;
+    j.set_enabled(true);
+    j.set_capacity(4);
+    for (uint64_t i = 1; i <= 6; ++i) {
+        TraceContext::Scope scope(TraceContext{i, 2});
+        j.record(ev::TimePoint{}, JournalKind::kXrlSend, "", "xrl", "m",
+                 "inproc");
+    }
+    EXPECT_EQ(j.event_count(), 4u);
+    EXPECT_EQ(j.dropped(), 2u);
+    auto evs = j.events();
+    EXPECT_EQ(evs.front().trace, 3u);  // 1 and 2 were dropped
+    EXPECT_EQ(evs.back().trace, 6u);
+    EXPECT_EQ(evs.back().hop, 2u);
+    EXPECT_FALSE(TraceContext::current().valid());  // scopes unwound
 }
 
 // ---- the telemetry/1.0 face --------------------------------------------
@@ -378,7 +401,7 @@ TEST(TelemetryXrl, SnapshotReachableOnAnyFinalizedTarget) {
     EXPECT_NE(snapshot.find("xrl_sends_total{family=\"inproc\"}"),
               std::string::npos);
 
-    // trace_enable flips the global tracer and reports the new state.
+    // trace_enable flips tracing and reports the new state.
     done = false;
     XrlArgs on;
     on.add("on", true);
@@ -389,57 +412,8 @@ TEST(TelemetryXrl, SnapshotReachableOnAnyFinalizedTarget) {
                     done = true;
                 });
     plexus.loop.run_until([&] { return done; }, 2s);
-    EXPECT_TRUE(Tracer::global().enabled());
-    Tracer::global().set_enabled(false);
-    Tracer::global().clear();
-}
-
-// ---- profiler handle API -----------------------------------------------
-
-TEST(Profiler, HandleRecordsOnlyWhenEnabled) {
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    profiler::Profiler prof(loop);
-
-    profiler::Profiler::ProfilePoint inert;
-    EXPECT_FALSE(inert.enabled());
-    inert.record("dropped on the floor");
-
-    profiler::Profiler::ProfilePoint p = prof.point("route_ribin");
-    EXPECT_FALSE(p.enabled());
-    p.record("ignored while disabled");
-    EXPECT_TRUE(prof.records("route_ribin").empty());
-
-    prof.enable("route_ribin");
-    EXPECT_TRUE(p.enabled());
-    p.record("add 10.0.1.0/24");
-    ASSERT_EQ(prof.records("route_ribin").size(), 1u);
-    EXPECT_EQ(prof.records("route_ribin")[0].payload, "add 10.0.1.0/24");
-
-    // The legacy string API shares the same points.
-    prof.record("route_ribin", "delete 10.0.1.0/24");
-    EXPECT_EQ(prof.records("route_ribin").size(), 2u);
-}
-
-TEST(Profiler, RecordCapCountsDrops) {
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    profiler::Profiler prof(loop);
-    profiler::Profiler::ProfilePoint p = prof.point("hot");
-    prof.enable("hot");
-    for (size_t i = 0; i < profiler::Profiler::kMaxRecordsPerPoint; ++i)
-        p.record({});
-    EXPECT_EQ(prof.records("hot").size(),
-              profiler::Profiler::kMaxRecordsPerPoint);
-    EXPECT_EQ(prof.dropped("hot"), 0u);
-    p.record("over the cap");
-    p.record("also over");
-    EXPECT_EQ(prof.records("hot").size(),
-              profiler::Profiler::kMaxRecordsPerPoint);
-    EXPECT_EQ(prof.dropped("hot"), 2u);
-    prof.clear("hot");
-    EXPECT_EQ(prof.dropped("hot"), 0u);
-    EXPECT_TRUE(prof.records("hot").empty());
+    EXPECT_TRUE(telemetry::tracing_enabled());
+    telemetry::set_tracing_enabled(false);
 }
 
 // ---- the Figures 10-12 chain as one trace ------------------------------
@@ -486,35 +460,43 @@ TEST(Trace, BgpRibFeaChainIsOneCausalTrace) {
         },
         60s));
 
-    // ...and the tracer must hold ONE trace linking the RIB and FEA
-    // dispatches, hops deepening along the chain. (r1 records a separate
-    // trace for its own local-origin attempt; only r2's goes to a FEA.)
-    bool found_chain = false;
+    // ...and the journal must hold ONE trace linking the RIB and FEA
+    // dispatches, hops deepening along the chain, with the FIB write
+    // stamped at the FEA's hop. (r1 records a separate trace for its own
+    // local-origin attempt; only r2's goes to a FEA.)
+    const std::vector<JournalEvent> events = Journal::global().events();
     std::map<uint64_t, std::pair<int, int>> hops;  // id -> {rib, fea}
-    for (const TraceEvent& ev : Tracer::global().events()) {
-        if (ev.point != "dispatch") continue;
-        auto& [rib_hop, fea_hop] = hops.try_emplace(ev.trace_id, -1, -1)
-                                       .first->second;
-        if (ev.detail.find("rib/1.0/add_route") != std::string::npos)
+    for (const JournalEvent& ev : events) {
+        if (ev.kind != JournalKind::kXrlDispatch) continue;
+        auto& [rib_hop, fea_hop] =
+            hops.try_emplace(ev.trace, -1, -1).first->second;
+        if (contains(ev.subject, "rib/1.0/add_route"))
             rib_hop = static_cast<int>(ev.hop);
-        if (ev.detail.find("fea/1.0/add_route4") != std::string::npos)
+        if (contains(ev.subject, "fea/1.0/add_route4"))
             fea_hop = static_cast<int>(ev.hop);
     }
+    uint64_t chain = 0;
     for (const auto& [id, h] : hops)
-        if (h.first >= 0 && h.second > h.first) found_chain = true;
-    EXPECT_TRUE(found_chain) << "rib and fea dispatches not causally "
-                                "linked in any one trace:\n"
-                             << Tracer::global().format();
+        if (h.first >= 0 && h.second > h.first) chain = id;
+    ASSERT_NE(chain, 0u) << "rib and fea dispatches not causally linked in "
+                            "any one trace:\n"
+                         << Journal::global().to_jsonl();
+    bool fib_add_in_chain = false;
+    for (const JournalEvent& ev : events)
+        if (ev.kind == JournalKind::kFibAdd && ev.subject == "10.99.0.0/16" &&
+            ev.trace == chain &&
+            static_cast<int>(ev.hop) == hops[chain].second)
+            fib_add_in_chain = true;
+    EXPECT_TRUE(fib_add_in_chain) << Journal::global().to_jsonl();
 }
 
 // ---- machine-readable trace dump ---------------------------------------
 
 TEST(Trace, JsonlDumpReconstructsRouteAddTimeline) {
     // The paper's Figures 10-12 route-add journey, asserted from the
-    // machine-readable dump instead of the text formatter: the JSON-lines
-    // export must contain one trace whose dispatch events visit the RIB
-    // and then the FEA at deepening hops with non-decreasing timestamps —
-    // exactly what the scenario harness consumes offline.
+    // journal's JSON-lines export: it must contain one trace whose
+    // dispatch events visit the RIB and then the FEA at deepening hops
+    // with non-decreasing timestamps — what journal_dump_json serves.
     ev::VirtualClock clock;
     ev::EventLoop loop(clock);
     rtrmgr::Router r1("r1", loop), r2("r2", loop);
@@ -555,36 +537,36 @@ TEST(Trace, JsonlDumpReconstructsRouteAddTimeline) {
         int64_t rib_t = 0, fea_t = 0;
     };
     std::map<uint64_t, Legs> traces;
-    std::istringstream in(Tracer::global().format_jsonl());
+    const std::string jsonl = Journal::global().to_jsonl();
+    std::istringstream in(jsonl);
     std::string line;
     size_t lines = 0;
     while (std::getline(in, line)) {
         auto v = json::Value::parse(line);
         ASSERT_TRUE(v.has_value()) << line;
         ++lines;
-        if (v->get_string("point").value_or("") != "dispatch") continue;
+        if (v->get_string("kind").value_or("") != "xrl_dispatch") continue;
         auto id = static_cast<uint64_t>(v->get_number("trace").value_or(0));
-        auto hop = static_cast<int64_t>(v->get_number("hop").value_or(-1));
+        auto hop = static_cast<int64_t>(v->get_number("hop").value_or(0));
         auto t = static_cast<int64_t>(v->get_number("t_ns").value_or(0));
-        const std::string detail = v->get_string("detail").value_or("");
+        const std::string method = v->get_string("subject").value_or("");
         Legs& legs = traces[id];
-        if (detail.find("rib/1.0/add_route") != std::string::npos) {
+        if (contains(method, "rib/1.0/add_route")) {
             legs.rib_hop = hop;
             legs.rib_t = t;
         }
-        if (detail.find("fea/1.0/add_route4") != std::string::npos) {
+        if (contains(method, "fea/1.0/add_route4")) {
             legs.fea_hop = hop;
             legs.fea_t = t;
         }
     }
-    EXPECT_EQ(lines, Tracer::global().event_count());
+    EXPECT_EQ(lines, Journal::global().event_count());
     bool found = false;
     for (const auto& [id, legs] : traces)
         if (legs.rib_hop >= 0 && legs.fea_hop > legs.rib_hop &&
             legs.fea_t >= legs.rib_t)
             found = true;
-    EXPECT_TRUE(found) << "no trace with rib -> fea timeline:\n"
-                       << Tracer::global().format_jsonl();
+    EXPECT_TRUE(found) << "no trace with rib -> fea timeline:\n" << jsonl;
 }
 
 TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
@@ -611,9 +593,15 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
         return result;
     };
 
-    // Trace one traced call, then fetch the JSONL dump over XRL.
-    Tracer::global().clear();
-    Tracer::global().set_enabled(true);
+    // Journal and tracing on over XRL, one traced call, then the JSONL
+    // dump over XRL: every line is a trace-stamped XRL hop.
+    XrlArgs on;
+    on.add("on", true);
+    XrlArgs off;
+    off.add("on", false);
+    EXPECT_EQ(rpc("journal_enable", on).get_bool("enabled"), true);
+    rpc("journal_clear", XrlArgs());
+    EXPECT_EQ(rpc("trace_enable", on).get_bool("enabled"), true);
     bool done = false;
     client.send(Xrl::generic("svc", "noop", "1.0", "noop", XrlArgs()),
                 [&](const XrlError& err, const XrlArgs&) {
@@ -621,9 +609,9 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
                     done = true;
                 });
     plexus.loop.run_until([&] { return done; }, 2s);
-    Tracer::global().set_enabled(false);
+    rpc("trace_enable", off);
 
-    XrlArgs dump = rpc("trace_dump_json", XrlArgs());
+    XrlArgs dump = rpc("journal_dump_json", XrlArgs());
     std::string text = dump.get_text("text").value_or("");
     ASSERT_FALSE(text.empty());
     std::istringstream in(text);
@@ -632,19 +620,16 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
     while (std::getline(in, line)) {
         auto v = json::Value::parse(line);
         ASSERT_TRUE(v.has_value()) << line;
-        EXPECT_NE(v->find("trace"), nullptr);
-        EXPECT_NE(v->find("hop"), nullptr);
-        EXPECT_NE(v->find("point"), nullptr);
+        const std::string kind = v->get_string("kind").value_or("");
+        EXPECT_TRUE(kind == "xrl_send" || kind == "xrl_dispatch") << line;
+        EXPECT_NE(v->find("trace"), nullptr) << line;
         ++n;
     }
     EXPECT_EQ(n, static_cast<size_t>(
                      dump.get_u32("count").value_or(0)));
-    Tracer::global().clear();
+    rpc("journal_clear", XrlArgs());
 
-    // Journal: enable over XRL, record, dump over XRL, clear over XRL.
-    XrlArgs on;
-    on.add("on", true);
-    EXPECT_EQ(rpc("journal_enable", on).get_bool("enabled"), true);
+    // Journal: record, dump over XRL, clear over XRL.
     telemetry::Journal::global().record(
         plexus.loop.now(), telemetry::JournalKind::kFibAdd, "r0", "fea",
         "10.0.0.0/24", "192.0.2.1:eth0");
@@ -653,8 +638,6 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
     auto jline = json::Value::parse(jd.get_text("text").value_or(""));
     ASSERT_TRUE(jline.has_value());
     EXPECT_EQ(jline->get_string("kind").value_or(""), "fib_add");
-    XrlArgs off;
-    off.add("on", false);
     rpc("journal_enable", off);
     rpc("journal_clear", XrlArgs());
     EXPECT_EQ(telemetry::Journal::global().event_count(), 0u);
