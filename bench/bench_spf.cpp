@@ -5,8 +5,15 @@
 // incremental path (restricted Dijkstra over the moved subtree) against
 // rerunning full Dijkstra, which is what a naive implementation does on
 // every flap.
+//
+// Self-checking: after its timed loop, every incremental case compares
+// the engine's RouteMap (successor sets included) with a fresh full run
+// over the same database, and the process exits non-zero on a mismatch,
+// so the CI bench smoke catches an incremental/full divergence at real
+// topology sizes.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "ev/eventloop.hpp"
@@ -19,6 +26,9 @@ using net::IPv4;
 using net::IPv4Net;
 
 namespace {
+
+// Set when an incremental run disagrees with a fresh full run.
+bool g_mismatch = false;
 
 // A topology expressed directly as Router LSAs (point-to-point links
 // with symmetric metrics plus one stub per router).
@@ -122,6 +132,18 @@ std::pair<size_t, size_t> middle_link(const Topology& t) {
     return {a, t.adj[a].front().first};
 }
 
+void check_against_full(const char* shape, int64_t arg,
+                        const SpfEngine& engine, const Lsdb& db) {
+    SpfEngine full;
+    full.set_root(engine.root());
+    full.set_max_paths(engine.max_paths());
+    if (engine.routes() == full.run_full(db)) return;
+    std::fprintf(stderr,
+                 "FAIL: %s/%lld: incremental routes differ from a full run\n",
+                 shape, static_cast<long long>(arg));
+    g_mismatch = true;
+}
+
 void run_spf_benchmark(benchmark::State& state, bool fat_tree,
                        bool incremental, bool mutate) {
     ev::VirtualClock clock;
@@ -146,9 +168,15 @@ void run_spf_benchmark(benchmark::State& state, bool fat_tree,
         else
             benchmark::DoNotOptimize(engine.run_full(db));
     }
+    if (incremental)
+        check_against_full(fat_tree ? "fat-tree" : "grid", state.range(0),
+                           engine, db);
     state.counters["routers"] = static_cast<double>(topo.n);
     state.counters["visited"] =
         static_cast<double>(engine.stats().last_visited);
+    // Vertices whose hop set the last run's hop pass recomputed.
+    state.counters["hop_visits"] =
+        static_cast<double>(engine.stats().last_hop_visits);
     state.counters["fallbacks"] =
         static_cast<double>(engine.stats().fallbacks);
 }
@@ -213,6 +241,7 @@ static void BM_GridRefreshOnly(benchmark::State& state) {
         db.install(l);
         benchmark::DoNotOptimize(engine.run_incremental(db, {l.key()}));
     }
+    check_against_full("grid-refresh", state.range(0), engine, db);
 }
 BENCHMARK(BM_GridRefreshOnly)->Arg(32)->Unit(benchmark::kMicrosecond);
 
@@ -223,5 +252,5 @@ int main(int argc, char** argv) {
     xrp::bench::GBenchReporter reporter(report);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
-    return 0;
+    return g_mismatch ? 1 : 0;
 }

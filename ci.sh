@@ -68,7 +68,9 @@ echo "== bench smoke + scenario smoke + BENCH schema validation =="
 # Every bench binary emits a machine-readable BENCH_<name>.json via the
 # shared reporter; route them to a scratch dir (so token smoke numbers
 # never clobber a committed trajectory) and validate every file against
-# the xrp-bench-v1 schema — malformed or empty output fails CI. The
+# the xrp-bench-v1 schema — malformed or empty output fails CI.
+# bench_spf checks itself: it exits non-zero if any incremental SPF case
+# ends with routes that differ from a fresh full run. The
 # scenario smoke cell (4x4 grid, link-flap schedule) is fully
 # deterministic: virtual clock, fixed topology, no wall-clock anywhere,
 # and the runner itself exits non-zero if the cell fails to re-converge.

@@ -674,24 +674,27 @@ void OspfProcess::run_spf() {
         std::chrono::duration_cast<ev::Duration>(t1 - t0));
     m_lsa_count_->set(static_cast<int64_t>(db_.size()));
 
-    // Diff into the RIB. Prefixes whose best path has no gateway are the
-    // root's own or directly attached segments — the connected origin owns
-    // those, OSPF must not shadow them.
-    RouteMap next;
-    for (const auto& [net, r] : computed)
-        if (r.nexthop != IPv4()) next[net] = r;
-    for (const auto& [net, r] : installed_) {
-        (void)r;
-        if (next.find(net) == next.end()) rib_->delete_route(net);
-    }
-    for (const auto& [net, r] : next) {
-        auto it = installed_.find(net);
+    // Sync the prefixes the run may have moved into the RIB. Prefixes whose
+    // best path has no gateway are the root's own or directly attached
+    // segments — the connected origin owns those, OSPF must not shadow
+    // them.
+    for (const IPv4Net& net : engine_.take_moved_prefixes()) {
+        auto cit = computed.find(net);
+        auto iit = installed_.find(net);
+        if (cit == computed.end() || cit->second.nexthop == IPv4()) {
+            if (iit != installed_.end()) {
+                rib_->delete_route(net);
+                installed_.erase(iit);
+            }
+            continue;
+        }
+        const SpfRoute& r = cit->second;
         // OriginStage add is replace-on-duplicate, so metric/nexthop
         // changes are a single add_route.
-        if (it == installed_.end() || !(it->second == r))
-            rib_->add_route(net, r.nexthops, r.cost);
+        if (iit != installed_.end() && iit->second == r) continue;
+        installed_.insert_or_assign(iit, net, r);
+        rib_->add_route(net, r.nexthops, r.cost);
     }
-    installed_ = std::move(next);
 }
 
 void OspfProcess::set_max_paths(uint32_t k) {

@@ -102,9 +102,6 @@ net::IPv4 SpfEngine::first_hop(const Vertex& parent, const Vertex& child) const 
                     return l.data;
         return net::IPv4();
     }
-    auto it = nodes_.find(parent);
-    if (it == nodes_.end()) return net::IPv4();
-    if (it->second.nexthop != net::IPv4()) return it->second.nexthop;
     // Parent is a directly attached transit segment: the child router's
     // address on it is in its own transit link's data field.
     if (parent.kind == LsaType::kNetwork && child.kind == LsaType::kRouter)
@@ -219,70 +216,89 @@ void SpfEngine::recompute_winners(const std::set<net::IPv4Net>& touched) {
     }
 }
 
-void SpfEngine::derive_hops(std::set<Vertex>* changed) {
+void SpfEngine::derive_hops(const std::vector<Vertex>& seeds,
+                            std::set<Vertex>* changed) {
     // Topological order of the tight-edge DAG: distance ascending, and at
     // equal distance networks before routers — the only zero-weight edges
     // are network->router (§16.1 step 2b), so every tight edge goes from
     // an earlier slot to a later one. Ids break remaining ties so the
-    // order (and with it every clamped set) is deterministic.
+    // order (and with it every clamped set) is deterministic. A vertex's
+    // set depends only on earlier vertices, and a queued vertex is only
+    // ever later than the one being popped, so each is recomputed once,
+    // after all of its in-neighbours are final.
     struct Ord {
         uint32_t dist;
         int rank;
         Vertex v;
-        bool operator<(const Ord& o) const {
-            if (dist != o.dist) return dist < o.dist;
-            if (rank != o.rank) return rank < o.rank;
-            return v < o.v;
-        }
+        auto operator<=>(const Ord&) const = default;
     };
-    std::vector<Ord> order;
-    order.reserve(nodes_.size());
-    for (const auto& [v, n] : nodes_)
-        if (n.dist != kInf)
-            order.push_back({n.dist, v.kind == LsaType::kNetwork ? 0 : 1, v});
-    std::sort(order.begin(), order.end());
-    std::map<Vertex, size_t> pos;
-    for (size_t i = 0; i < order.size(); ++i) pos[order[i].v] = i;
+    auto ord = [](const Vertex& v, const Node& n) {
+        return Ord{n.dist, v.kind == LsaType::kNetwork ? 0 : 1, v};
+    };
+    using NodeIt = std::map<Vertex, Node>::iterator;
+    std::priority_queue<Ord, std::vector<Ord>, std::greater<Ord>> work;
+    ++run_id_;
+    auto push = [&](NodeIt it) {
+        if (it->second.processed_run == run_id_) return;
+        it->second.processed_run = run_id_;
+        work.push(ord(it->first, it->second));
+    };
+    for (const Vertex& v : seeds) {
+        auto it = nodes_.find(v);
+        if (it != nodes_.end() && it->second.dist != kInf) push(it);
+    }
 
     const Vertex root{LsaType::kRouter, root_};
-    for (size_t i = 0; i < order.size(); ++i) {
-        const Vertex& v = order[i].v;
+    size_t visits = 0;
+    std::vector<NodeIt> later;
+    while (!work.empty()) {
+        const Ord o = work.top();
+        work.pop();
+        const Vertex& v = o.v;
         Node& n = nodes_.at(v);
+        ++visits;
+        // Claimed adjacencies are symmetric at the adjacency level, so v's
+        // own targets are exactly its possible in- and out-neighbours.
         net::NexthopSet4 hops;
-        if (!(v == root)) {
-            // Claimed adjacencies are symmetric at the adjacency level, so
-            // v's own targets are exactly its possible in-neighbours.
-            for (const Vertex& u : raw_targets(v)) {
-                if (u == v) continue;
-                auto pit = pos.find(u);
-                if (pit == pos.end() || pit->second >= i) continue;
-                auto w = edge_weight(u, v);
-                if (!w) continue;
-                const Node& un = nodes_.at(u);
-                if (sat_add(un.dist, *w) != n.dist) continue;
-                if (u == root || un.nexthop == net::IPv4()) {
-                    // Hop decided at this edge: root's own link, or a
-                    // parent reached with no gateway (directly attached
-                    // segment) whose child address is the hop.
-                    hops.insert(first_hop(u, v));
-                } else {
-                    hops.merge(un.hops);
-                }
+        later.clear();
+        for (const Vertex& u : raw_targets(v)) {
+            if (u == v) continue;
+            auto uit = nodes_.find(u);
+            if (uit == nodes_.end() || uit->second.dist == kInf) continue;
+            const Node& un = uit->second;
+            if (o < ord(u, un)) {
+                later.push_back(uit);
+                continue;
             }
-            // A direct attachment (hop 0) at equal cost beats gateways —
-            // and the sentinel composes with nothing else.
-            if (hops.contains(net::IPv4()))
-                hops = net::NexthopSet4::single(net::IPv4());
-            hops.clamp(max_paths_);
+            if (v == root) continue;
+            auto w = edge_weight(u, v);
+            if (!w) continue;
+            if (sat_add(un.dist, *w) != n.dist) continue;
+            if (u == root || un.nexthop == net::IPv4()) {
+                // Hop decided at this edge: root's own link, or a parent
+                // reached with no gateway (directly attached segment)
+                // whose child address is the hop.
+                hops.insert(first_hop(u, v));
+            } else {
+                hops.merge(un.hops);
+            }
         }
+        // A direct attachment (hop 0) at equal cost beats gateways — and
+        // the sentinel composes with nothing else.
+        if (hops.contains(net::IPv4()))
+            hops = net::NexthopSet4::single(net::IPv4());
+        hops.clamp(max_paths_);
         net::IPv4 primary =
             hops.empty() || hops.primary() == net::IPv4() ? net::IPv4()
                                                           : hops.primary();
-        if (changed && (hops != n.hops || primary != n.nexthop))
-            changed->insert(v);
+        if (hops == n.hops && primary == n.nexthop) continue;
+        if (changed) changed->insert(v);
         n.hops = std::move(hops);
         n.nexthop = primary;
+        // Only later vertices can inherit from v.
+        for (NodeIt it : later) push(it);
     }
+    stats_.last_hop_visits = visits;
 }
 
 void SpfEngine::rebuild_snapshot(const Lsdb& db) {
@@ -299,9 +315,12 @@ const RouteMap& SpfEngine::run_full(const Lsdb& db) {
     nodes_.clear();
     contrib_.clear();
     vertex_prefixes_.clear();
+    // Every prefix routed before or after this run may have moved.
+    for (const auto& [p, r] : routes_) moved_.insert(p);
     routes_.clear();
     ++run_id_;
     size_t visited = 0;
+    stats_.last_hop_visits = 0;
     Vertex root{LsaType::kRouter, root_};
     if (router_lsa(root_)) {
         std::priority_queue<QueueEntry, std::vector<QueueEntry>,
@@ -318,14 +337,19 @@ const RouteMap& SpfEngine::run_full(const Lsdb& db) {
             Node& n = nodes_[v];
             if (n.processed_run == run_id_ || d > n.dist) continue;
             n.processed_run = run_id_;
-            n.nexthop = n.has_parent ? first_hop(n.parent, v) : net::IPv4();
             ++visited;
             relax(v, pq);
         }
-        derive_hops(nullptr);
+        std::vector<Vertex> all;
+        all.reserve(nodes_.size());
+        for (const auto& [v, n] : nodes_) all.push_back(v);
+        derive_hops(all, nullptr);
         for (const auto& [v, n] : nodes_) add_contributions(v, nullptr);
     }
-    for (const auto& [p, m] : contrib_) routes_[p] = winner_for(m);
+    for (const auto& [p, m] : contrib_) {
+        routes_[p] = winner_for(m);
+        moved_.insert(p);
+    }
     stats_.last_visited = visited;
     ++stats_.full_runs;
     has_run_ = true;
@@ -365,6 +389,7 @@ const RouteMap& SpfEngine::run_incremental(const Lsdb& db,
     ++stats_.incremental_runs;
     if (deltas.empty()) {
         stats_.last_visited = 0;
+        stats_.last_hop_visits = 0;
         return routes_;
     }
 
@@ -420,12 +445,16 @@ const RouteMap& SpfEngine::run_incremental(const Lsdb& db,
     // 4. Classify each candidate edge. Decreases (including newly valid
     // edges) become relaxation seeds; increases and removals matter only
     // when the edge was on the shortest-path tree, in which case the whole
-    // subtree below it must be re-settled.
+    // subtree below it must be re-settled. The head of every changed edge
+    // seeds the hop pass: its set of tight in-edges may have moved.
     std::vector<std::tuple<Vertex, Vertex, uint32_t>> decreases;
     std::set<Vertex> invalid_roots;
+    std::vector<Vertex> hop_seeds(delta_vertices.begin(),
+                                  delta_vertices.end());
     for (const auto& [e, wo] : old_w) {
         auto wn = edge_weight(e.first, e.second);
         if (wo == wn) continue;
+        hop_seeds.push_back(e.second);
         uint32_t o = wo ? *wo : kInf;
         uint32_t w = wn ? *wn : kInf;
         if (w < o) {
@@ -440,27 +469,26 @@ const RouteMap& SpfEngine::run_incremental(const Lsdb& db,
 
     // 5. Invalidated region A: the closure of tree children below each
     // invalid root. Everything outside A keeps its distance (a worsened
-    // non-tree edge can't affect anyone's shortest path).
+    // non-tree edge can't affect anyone's shortest path). A tree child
+    // is still among its parent's claimed targets: had the parent's claim
+    // gone, that tree edge changed and the child is an invalid root.
     std::set<Vertex> A;
-    if (!invalid_roots.empty()) {
-        std::map<Vertex, std::vector<Vertex>> children;
-        for (const auto& [v, n] : nodes_)
-            if (n.has_parent) children[n.parent].push_back(v);
-        std::vector<Vertex> stack(invalid_roots.begin(), invalid_roots.end());
-        while (!stack.empty()) {
-            Vertex v = stack.back();
-            stack.pop_back();
-            if (!A.insert(v).second) continue;
-            auto ci = children.find(v);
-            if (ci != children.end())
-                for (const Vertex& c : ci->second) stack.push_back(c);
+    std::vector<Vertex> stack(invalid_roots.begin(), invalid_roots.end());
+    while (!stack.empty()) {
+        Vertex v = stack.back();
+        stack.pop_back();
+        if (!A.insert(v).second) continue;
+        for (const Vertex& c : raw_targets(v)) {
+            auto cit = nodes_.find(c);
+            if (cit != nodes_.end() && cit->second.has_parent &&
+                cit->second.parent == v)
+                stack.push_back(c);
         }
-        for (const Vertex& v : A) {
-            Node& n = nodes_[v];
-            n.dist = kInf;
-            n.has_parent = false;
-            n.nexthop = net::IPv4();
-        }
+    }
+    for (const Vertex& v : A) {
+        Node& n = nodes_[v];
+        n.dist = kInf;
+        n.has_parent = false;
     }
 
     // 6. Seed a restricted Dijkstra: decrease edges, plus every edge
@@ -489,9 +517,7 @@ const RouteMap& SpfEngine::run_incremental(const Lsdb& db,
         for (const Vertex& t : raw_targets(x))
             if (auto w = edge_weight(t, x)) seed(t, x, *w);
 
-    // 7. Settle. Pops are nondecreasing in distance, so a parent is always
-    // finalised (or stable from the previous run) before its child asks it
-    // for a next hop.
+    // 7. Settle. Pops are nondecreasing in distance.
     std::set<Vertex> touched(A.begin(), A.end());
     while (!pq.empty()) {
         auto [d, v] = pq.top();
@@ -499,20 +525,21 @@ const RouteMap& SpfEngine::run_incremental(const Lsdb& db,
         Node& n = nodes_[v];
         if (n.processed_run == run_id_ || d > n.dist) continue;
         n.processed_run = run_id_;
-        n.nexthop = n.has_parent ? first_hop(n.parent, v) : net::IPv4();
         touched.insert(v);
         relax(v, pq);
     }
-    // 7b. Re-derive every vertex's equal-cost hop set from the finished
-    // distance field. Settling only recomputes hops for re-settled
-    // vertices, but hop sets are inherited along tight edges — an
-    // ancestor re-parented at equal cost, or an edge change that created
-    // a *new* equal-cost path without moving any distance, changes
-    // descendants' hop sets although they are never re-popped. The pass
-    // is the same one run_full uses on the same snapshot, so incremental
-    // successor sets equal full ones by construction; any vertex whose
-    // set moved joins `touched` so its prefix contributions refresh.
-    derive_hops(&touched);
+    // 7b. Re-derive equal-cost hop sets where they can move. Hop sets are
+    // inherited along tight edges, so besides the re-settled vertices the
+    // pass seeds their claimed neighbours (whose tight in-edges may have
+    // appeared or gone), every delta vertex (first hops read its link
+    // addresses) and the heads of changed edges; from there it spreads
+    // only while a set moves. Vertices whose set moved join `touched` so
+    // their prefix contributions refresh.
+    for (const Vertex& v : touched) {
+        hop_seeds.push_back(v);
+        for (const Vertex& t : raw_targets(v)) hop_seeds.push_back(t);
+    }
+    derive_hops(hop_seeds, &touched);
 
     // Stub-only changes never enter the graph phase but still move
     // prefixes.
@@ -533,6 +560,7 @@ const RouteMap& SpfEngine::run_incremental(const Lsdb& db,
             add_contributions(v, &touched_prefixes);
     }
     recompute_winners(touched_prefixes);
+    moved_.merge(touched_prefixes);
     return routes_;
 }
 

@@ -15,19 +15,25 @@
 // snapshot; cost decreases seed relaxations, cost increases/removals on
 // tree edges invalidate exactly the affected subtree, which is then
 // re-settled by a Dijkstra restricted to candidates entering from the
-// stable region. Work is proportional to the part of the tree that
-// actually moves, not to the topology — bench_spf measures the gap.
+// stable region. The ECMP hop sets are then re-derived by a worklist
+// pass seeded with the re-settled vertices, their neighbours and the
+// heads of changed edges, which spreads only while a hop set moves. An
+// incremental run thus costs the re-settled region, its boundary and the
+// vertices whose successor sets changed; it reports the prefixes it may
+// have moved, so the caller syncs only those. bench_spf measures the gap
+// against a full run and checks the two agree.
 // Refresh-only changes (same content, new seq) and pure stub-metric
 // changes skip the graph phase entirely. When the engine has no prior
 // state, the root moved, or the change set is too broad, it falls back
 // to a full run; equivalence of the two paths is pinned by test_ospf's
-// random-mutation test.
+// random-mutation tests.
 #ifndef XRP_OSPF_SPF_HPP
 #define XRP_OSPF_SPF_HPP
 
 #include <map>
 #include <queue>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/nexthop_set.hpp"
@@ -61,6 +67,8 @@ public:
         uint64_t fallbacks = 0;
         // Vertices settled by the most recent run.
         size_t last_visited = 0;
+        // Vertices whose hop set the most recent run's hop pass recomputed.
+        size_t last_hop_visits = 0;
     };
 
     void set_root(net::IPv4 router_id) {
@@ -91,6 +99,12 @@ public:
                                     const std::vector<LsaKey>& changed);
 
     const RouteMap& routes() const { return routes_; }
+    // Hands over the prefixes whose route the runs since the last call may
+    // have changed (added, removed or altered); every other entry of
+    // routes() is as it was then.
+    std::set<net::IPv4Net> take_moved_prefixes() {
+        return std::exchange(moved_, {});
+    }
     const Stats& stats() const { return stats_; }
 
 private:
@@ -107,10 +121,12 @@ private:
         Vertex parent{};
         bool has_parent = false;
         net::IPv4 nexthop{};
-        // Full equal-cost hop set, rebuilt by derive_hops() each run;
-        // nexthop is its primary (or 0 when the set is the direct-
-        // attachment sentinel {0} / empty).
+        // Full equal-cost hop set, kept by derive_hops(); nexthop is its
+        // primary (or 0 when the set is the direct-attachment sentinel
+        // {0} / empty).
         net::NexthopSet4 hops;
+        // Pass stamp: settled by the Dijkstra, or queued by derive_hops(),
+        // in the pass with this id.
         uint64_t processed_run = 0;
     };
     struct QueueEntry {
@@ -130,6 +146,8 @@ private:
                                         const Vertex& b) const;
     // Neighbour vertex set claimed by `v`'s LSA, no validity checks.
     std::vector<Vertex> raw_targets(const Vertex& v) const;
+    // The hop a tight edge decides by itself, when `parent` is the root or
+    // was reached with no gateway (a directly attached segment).
     net::IPv4 first_hop(const Vertex& parent, const Vertex& child) const;
     void relax(const Vertex& v,
                std::priority_queue<QueueEntry, std::vector<QueueEntry>,
@@ -138,12 +156,15 @@ private:
     void drop_contributions(const Vertex& v, std::set<net::IPv4Net>* touched);
     SpfRoute winner_for(const std::map<Vertex, SpfRoute>& contribs) const;
     void recompute_winners(const std::set<net::IPv4Net>& touched);
-    // ECMP post-pass: rebuilds every settled vertex's equal-cost hop set
-    // from the finished distance field (union over tight in-edges, in
-    // topological order). Shared verbatim by both run modes — that is the
-    // incremental==full successor-set guarantee. Vertices whose hop set
-    // moved are added to `changed` (may be null).
-    void derive_hops(std::set<Vertex>* changed);
+    // ECMP hop pass over the finished distance field: recomputes the
+    // equal-cost hop set of each seed (union over tight in-edges), in
+    // topological order, and queues a vertex's later neighbours whenever
+    // its set moves. The one pass serves both run modes (a full run seeds
+    // every vertex) — that is the incremental==full successor-set
+    // guarantee. Vertices whose hop set moved are added to `changed` (may
+    // be null).
+    void derive_hops(const std::vector<Vertex>& seeds,
+                     std::set<Vertex>* changed);
     void rebuild_snapshot(const Lsdb& db);
 
     net::IPv4 root_{};
@@ -159,6 +180,7 @@ private:
     std::map<net::IPv4Net, std::map<Vertex, SpfRoute>> contrib_;
     std::map<Vertex, std::vector<net::IPv4Net>> vertex_prefixes_;
     RouteMap routes_;
+    std::set<net::IPv4Net> moved_;
     Stats stats_;
 };
 

@@ -53,8 +53,13 @@ struct Tokenizer {
     }
 };
 
-bool parse_children(Tokenizer& tok, std::vector<ConfigNode>& out,
-                    bool top_level, std::string* error) {
+// Block nesting cap. Real configs nest about five deep; the parser recurses
+// once per '{', so an unbounded depth lets hostile input overflow the stack.
+constexpr int kMaxDepth = 64;
+
+bool parse_children(Tokenizer& tok, std::vector<ConfigNode>& out, int depth,
+                    std::string* error) {
+    const bool top_level = depth == 0;
     while (true) {
         std::string word = tok.peek();
         if (word.empty()) {
@@ -86,7 +91,14 @@ bool parse_children(Tokenizer& tok, std::vector<ConfigNode>& out,
             std::string t = tok.peek();
             if (t == "{") {
                 tok.next();
-                if (!parse_children(tok, node.children, false, error))
+                if (depth >= kMaxDepth) {
+                    if (error)
+                        *error = "line " + std::to_string(tok.line) +
+                                 ": blocks nested deeper than " +
+                                 std::to_string(kMaxDepth);
+                    return false;
+                }
+                if (!parse_children(tok, node.children, depth + 1, error))
                     return false;
                 break;
             }
@@ -147,7 +159,7 @@ std::optional<ConfigTree> ConfigTree::parse(std::string_view text,
                                             std::string* error) {
     Tokenizer tok{text};
     ConfigTree tree;
-    if (!parse_children(tok, tree.root_.children, true, error))
+    if (!parse_children(tok, tree.root_.children, 0, error))
         return std::nullopt;
     return tree;
 }

@@ -17,7 +17,8 @@
 //   }
 //
 // A node is a word list; "word+ ;" makes a leaf, "word+ { ... }" a block.
-// '#' comments run to end of line.
+// '#' comments run to end of line. Blocks nest at most 64 deep; deeper
+// input is a parse error naming its line.
 #ifndef XRP_RTRMGR_CONFIGTREE_HPP
 #define XRP_RTRMGR_CONFIGTREE_HPP
 

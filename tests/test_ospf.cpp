@@ -522,6 +522,303 @@ TEST(OspfSpf, RefreshOnlyChangeIsFreeAndKeepsRoutes) {
     EXPECT_EQ(e.stats().last_visited, 0u);  // graph phase skipped
 }
 
+namespace {
+
+// A random mixed topology: point-to-point claims plus transit LANs
+// (Router LSAs claiming a segment, one Network LSA per segment listing
+// the attached routers), with metrics of 1 or 2 so equal-cost ties are
+// wide. Every claim is independent, so mutations make one-way claims on
+// both edge kinds; routers and segments can also lose their LSA, and a
+// router can renumber its interfaces (new link addresses, same metrics).
+struct MixedGraph {
+    struct Lan {
+        std::vector<uint32_t> claim;  // transit metric per router, 0 = none
+        std::vector<bool> listed;     // in the Network LSA's attached list
+        bool present = true;
+        uint32_t seq = 1;
+    };
+    size_t n = 0;
+    std::vector<std::vector<uint32_t>> metric;  // p2p claims, 0 = none
+    std::vector<Lan> lans;
+    std::vector<uint32_t> stub_metric;
+    std::vector<uint32_t> seq;
+    std::vector<bool> present;
+    std::vector<uint32_t> renumber;  // low bits of router i's addresses
+
+    static MixedGraph make(size_t n, size_t n_lans, std::mt19937& rng) {
+        MixedGraph g;
+        g.n = n;
+        g.metric.assign(n, std::vector<uint32_t>(n, 0));
+        g.stub_metric.assign(n, 1);
+        g.seq.assign(n, 1);
+        g.present.assign(n, true);
+        g.renumber.assign(n, 1);
+        std::uniform_real_distribution<double> coin(0.0, 1.0);
+        for (size_t i = 0; i < n; ++i)
+            for (size_t j = i + 1; j < n; ++j)
+                if (coin(rng) < 0.15) g.metric[i][j] = g.metric[j][i] = 1;
+        for (size_t l = 0; l < n_lans; ++l) {
+            Lan lan;
+            lan.claim.assign(n, 0);
+            lan.listed.assign(n, false);
+            for (size_t i = 0; i < n; ++i)
+                if (coin(rng) < 0.3) {
+                    lan.claim[i] = 1;
+                    lan.listed[i] = true;
+                }
+            g.lans.push_back(std::move(lan));
+        }
+        return g;
+    }
+
+    static IPv4 rid(size_t i) { return IPv4(static_cast<uint32_t>(i + 1)); }
+    // Router i's address on its link to j.
+    IPv4 addr(size_t i, size_t j) const {
+        return IPv4((10u << 24) | (static_cast<uint32_t>(i) << 12) |
+                    (static_cast<uint32_t>(j) << 4) | (renumber[i] & 0xfu));
+    }
+    // Segment l is 10.200.l.0/24, named by its DR address .1 (the Network
+    // LSA's id); router i's address on it is outside that range.
+    static IPv4 dr_addr(size_t l) {
+        return IPv4((10u << 24) | (200u << 16) |
+                    (static_cast<uint32_t>(l) << 8) | 1u);
+    }
+    IPv4 lan_addr(size_t l, size_t i) const {
+        return IPv4((10u << 24) | (201u << 16) |
+                    (static_cast<uint32_t>(l) << 12) |
+                    (static_cast<uint32_t>(i) << 4) | (renumber[i] & 0xfu));
+    }
+    static IPv4Net stub_net(size_t i) {
+        return IPv4Net(IPv4((172u << 24) | (16u << 16) |
+                            (static_cast<uint32_t>(i) << 8)),
+                       24);
+    }
+
+    Lsa router_of(size_t i) const {
+        std::vector<RouterLink> links;
+        for (size_t j = 0; j < n; ++j)
+            if (metric[i][j] > 0)
+                links.push_back(p2p(rid(j), addr(i, j), metric[i][j]));
+        for (size_t l = 0; l < lans.size(); ++l)
+            if (lans[l].claim[i] > 0)
+                links.push_back(
+                    transit(dr_addr(l), lan_addr(l, i), lans[l].claim[i]));
+        links.push_back(stub_link(stub_net(i), stub_metric[i]));
+        return router_lsa(rid(i), std::move(links), seq[i]);
+    }
+    // Advertised by router 0 throughout, so the key stays fixed.
+    Lsa network_of(size_t l) const {
+        std::vector<IPv4> attached;
+        for (size_t i = 0; i < n; ++i)
+            if (lans[l].listed[i]) attached.push_back(rid(i));
+        return network_lsa(dr_addr(l), rid(0), 24, std::move(attached),
+                           lans[l].seq);
+    }
+
+    void install_all(Lsdb& db) const {
+        for (size_t i = 0; i < n; ++i) db.install(router_of(i));
+        for (size_t l = 0; l < lans.size(); ++l) db.install(network_of(l));
+    }
+    // Re-advertises (or withdraws) router i / segment l after a mutation;
+    // returns the changed key.
+    LsaKey sync_router(Lsdb& db, size_t i) {
+        ++seq[i];
+        Lsa l = router_of(i);
+        if (present[i])
+            db.install(l);
+        else
+            db.remove(l.key());
+        return l.key();
+    }
+    LsaKey sync_lan(Lsdb& db, size_t l) {
+        ++lans[l].seq;
+        Lsa lsa = network_of(l);
+        if (lans[l].present)
+            db.install(lsa);
+        else
+            db.remove(lsa.key());
+        return lsa.key();
+    }
+};
+
+}  // namespace
+
+// The incremental==full oracle on the graphs where ECMP bookkeeping is
+// hardest: transit LANs (zero-weight network->router edges), unit-ish
+// metrics, every ECMP width, one-way claims and LSA removals. Each step
+// compares the incremental engine's whole RouteMap (successor sets
+// included) with a fresh full run, and checks that every prefix whose
+// route changed is among the ones the run reports as moved — the set
+// OspfProcess syncs into the RIB.
+TEST(OspfSpf, IncrementalMatchesFullOnLansWithWideTies) {
+    for (uint32_t seed : {3u, 17u, 2026u}) {
+        for (size_t k : {1u, 2u, 8u}) {
+            std::mt19937 rng(seed);
+            MixedGraph g = MixedGraph::make(18, 3, rng);
+            ev::VirtualClock clock;
+            ev::EventLoop loop(clock);
+            Lsdb db(loop);
+            g.install_all(db);
+
+            SpfEngine incr;
+            incr.set_root(MixedGraph::rid(0));
+            incr.set_max_paths(k);
+            incr.run_full(db);
+            incr.take_moved_prefixes();
+
+            std::uniform_int_distribution<size_t> pick(0, g.n - 1);
+            std::uniform_int_distribution<size_t> pick_lan(0,
+                                                           g.lans.size() - 1);
+            std::uniform_int_distribution<uint32_t> m(1, 2);
+            std::uniform_int_distribution<int> kind(0, 9);
+            for (int step = 0; step < 200; ++step) {
+                size_t i = pick(rng);
+                size_t j = pick(rng);
+                size_t l = pick_lan(rng);
+                MixedGraph::Lan& lan = g.lans[l];
+                std::vector<LsaKey> changed;
+                switch (kind(rng)) {
+                    case 0:  // re-cost one directed p2p claim
+                        if (g.metric[i][j] > 0) g.metric[i][j] = m(rng);
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                    case 1:  // toggle one directed p2p claim (one-way)
+                        if (i != j) g.metric[i][j] = g.metric[i][j] > 0 ? 0 : 1;
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                    case 2:  // a whole p2p link up/down: both ends change
+                        if (i == j) break;
+                        g.metric[i][j] = g.metric[j][i] = g.metric[i][j] > 0 ? 0 : 1;
+                        changed.push_back(g.sync_router(db, i));
+                        changed.push_back(g.sync_router(db, j));
+                        break;
+                    case 3:  // re-cost a transit claim
+                        if (lan.claim[i] > 0) lan.claim[i] = m(rng);
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                    case 4:  // toggle a transit claim (one-way onto a LAN)
+                        lan.claim[i] = lan.claim[i] > 0 ? 0 : 1;
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                    case 5:  // toggle a router in the Network LSA's list
+                        lan.listed[i] = !lan.listed[i];
+                        changed.push_back(g.sync_lan(db, l));
+                        break;
+                    case 6:  // withdraw / restore a Network LSA
+                        lan.present = !lan.present;
+                        changed.push_back(g.sync_lan(db, l));
+                        break;
+                    case 7:  // withdraw / restore a Router LSA
+                        g.present[i] = !g.present[i];
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                    case 8:  // stub metric only
+                        g.stub_metric[i] = m(rng);
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                    case 9:  // renumber: first hops read link addresses
+                        g.renumber[i] = g.renumber[i] % 15 + 1;
+                        changed.push_back(g.sync_router(db, i));
+                        break;
+                }
+                RouteMap before = incr.routes();
+                const RouteMap& got = incr.run_incremental(db, changed);
+                SpfEngine full;
+                full.set_root(MixedGraph::rid(0));
+                full.set_max_paths(k);
+                ASSERT_EQ(got, full.run_full(db))
+                    << "seed " << seed << " max_paths " << k << " step "
+                    << step;
+                const std::set<IPv4Net> moved = incr.take_moved_prefixes();
+                std::set<IPv4Net> keys;
+                for (const auto& [p, r] : before) keys.insert(p);
+                for (const auto& [p, r] : got) keys.insert(p);
+                for (const IPv4Net& p : keys) {
+                    auto b = before.find(p);
+                    auto a = got.find(p);
+                    bool same = b != before.end() && a != got.end() &&
+                                b->second == a->second;
+                    ASSERT_TRUE(same || moved.count(p))
+                        << p.str() << " moved unreported; seed " << seed
+                        << " max_paths " << k << " step " << step;
+                }
+            }
+            EXPECT_GT(incr.stats().incremental_runs, incr.stats().fallbacks);
+        }
+    }
+}
+
+// The hop pass recomputes only where successor sets can move. On a
+// 32x32 unit grid, re-costing one middle link and back moves a handful
+// of vertices; the pass must visit about that many, not all 1,024 (the
+// sort-everything pass it replaced did).
+TEST(OspfSpf, HopPassVisitsOnlyWhatCanMove) {
+    constexpr size_t kSide = 32;
+    const size_t n = kSide * kSide;
+    std::vector<std::vector<size_t>> adj(n);
+    std::map<std::pair<size_t, size_t>, uint32_t> metric;
+    auto link = [&](size_t a, size_t b) {
+        adj[a].push_back(b);
+        adj[b].push_back(a);
+        metric[{a, b}] = metric[{b, a}] = 1;
+    };
+    for (size_t r = 0; r < kSide; ++r)
+        for (size_t c = 0; c < kSide; ++c) {
+            size_t i = r * kSide + c;
+            if (c + 1 < kSide) link(i, i + 1);
+            if (r + 1 < kSide) link(i, i + kSide);
+        }
+    std::vector<uint32_t> seq(n, 1);
+    auto lsa_of = [&](size_t i) {
+        std::vector<RouterLink> links;
+        for (size_t t : adj[i])
+            links.push_back(
+                p2p(MixedGraph::rid(t), MixedGraph::rid(i), metric[{i, t}]));
+        links.push_back(stub_link(
+            IPv4Net(IPv4((10u << 24) | (static_cast<uint32_t>(i) << 8)), 24),
+            1));
+        return router_lsa(MixedGraph::rid(i), std::move(links), seq[i]);
+    };
+    ev::VirtualClock clock;
+    ev::EventLoop loop(clock);
+    Lsdb db(loop);
+    for (size_t i = 0; i < n; ++i) db.install(lsa_of(i));
+
+    SpfEngine e;
+    e.set_root(MixedGraph::rid(0));
+    e.run_full(db);
+    EXPECT_EQ(e.stats().last_hop_visits, n);  // a full run seeds everyone
+
+    // A middle link whose re-cost moves no distance, and a link on the
+    // left edge whose re-cost moves the 16 vertices below it (and their
+    // successor sets, which gain the root's second first hop).
+    const size_t mid = (kSide / 2) * kSide + kSide / 2;
+    const size_t edge = (kSide / 2 - 1) * kSide;
+    for (auto [a, b] :
+         {std::pair{mid, mid + 1}, std::pair{edge, edge + kSide}}) {
+        for (uint32_t w : {5u, 1u}) {
+            metric[{a, b}] = metric[{b, a}] = w;
+            ++seq[a];
+            ++seq[b];
+            db.install(lsa_of(a));
+            db.install(lsa_of(b));
+            uint64_t full_before = e.stats().full_runs;
+            const RouteMap& got = e.run_incremental(
+                db, {lsa_of(a).key(), lsa_of(b).key()});
+            ASSERT_EQ(e.stats().full_runs, full_before);
+            SpfEngine full;
+            full.set_root(MixedGraph::rid(0));
+            ASSERT_EQ(got, full.run_full(db));
+            const size_t bound = 4 * e.stats().last_visited + adj[a].size() +
+                                 adj[b].size();
+            EXPECT_LE(e.stats().last_hop_visits, bound)
+                << "link " << a << "-" << b << " metric " << w;
+            EXPECT_LT(e.stats().last_hop_visits, n / 8)
+                << "link " << a << "-" << b << " metric " << w;
+        }
+    }
+}
+
 // ---- the full protocol over the virtual network ----------------------------
 
 namespace {
@@ -908,4 +1205,197 @@ TEST(OspfProcess, BeatsRipOnAdminDistanceAndYieldsWhenGone) {
             return r && r->protocol == "rip" && r->nexthop == rip_nh;
         },
         30s));
+}
+
+// ---- RIB sync: only the prefixes an SPF run moved reach the RIB ------------
+
+namespace {
+
+using RibView = std::map<IPv4Net, std::pair<net::NexthopSet4, uint32_t>>;
+
+// Every RIB call an OspfProcess makes, and the RIB-side view they add up
+// to (add replaces, delete removes).
+struct RibLog {
+    struct Call {
+        bool add = false;
+        IPv4Net net;
+        net::NexthopSet4 nexthops;
+        uint32_t metric = 0;
+    };
+    std::vector<Call> calls;
+    RibView view;
+    size_t stray_deletes = 0;  // deletes of prefixes never added
+};
+
+class CapturingRib final : public RibClient {
+public:
+    explicit CapturingRib(RibLog& log) : log_(log) {}
+    void add_route(const IPv4Net& net, IPv4 nexthop,
+                   uint32_t metric) override {
+        add_route(net, net::NexthopSet4::single(nexthop), metric);
+    }
+    void add_route(const IPv4Net& net, const net::NexthopSet4& nexthops,
+                   uint32_t metric) override {
+        log_.calls.push_back({true, net, nexthops, metric});
+        log_.view[net] = {nexthops, metric};
+    }
+    void delete_route(const IPv4Net& net) override {
+        log_.calls.push_back({false, net, {}, 0});
+        if (log_.view.erase(net) == 0) ++log_.stray_deletes;
+    }
+
+private:
+    RibLog& log_;
+};
+
+// Swaps router r's OspfProcess for one that reports to `log`. Call before
+// the router gets any interface.
+void capture_rib(TopoFixture& f, size_t r, RibLog& log) {
+    sim::OspfTopology::Node& n = f.topo.node(r);
+    OspfProcess::Config cfg;
+    cfg.router_id = n.router_id;
+    n.ospf.reset();  // frees the OSPF port on the router's FEA
+    n.ospf = std::make_unique<OspfProcess>(f.loop, *n.fea, cfg,
+                                           std::make_unique<CapturingRib>(log));
+}
+
+// What a full diff of the engine's routes would install: every route
+// with a gateway.
+RibView gateway_routes(const OspfProcess& p) {
+    RibView out;
+    for (const auto& [net, r] : p.spf().routes())
+        if (r.nexthop != IPv4()) out[net] = {r.nexthops, r.cost};
+    return out;
+}
+
+RibView installed_view(const OspfProcess& p) {
+    RibView out;
+    for (const auto& [net, r] : p.installed_routes())
+        out[net] = {r.nexthops, r.cost};
+    return out;
+}
+
+}  // namespace
+
+TEST(OspfProcess, FarStubMetricChangeIsOneRibAdd) {
+    TopoFixture f;
+    for (int i = 0; i < 4; ++i) f.topo.add_router();
+    RibLog log;
+    capture_rib(f, 0, log);
+    f.topo.connect(0, 1);
+    f.topo.connect(1, 2);
+    f.topo.connect(2, 3);
+    IPv4Net stub3 = f.topo.add_stub(3);  // segment 3
+    ASSERT_TRUE(f.converge());
+    ASSERT_TRUE(
+        f.loop.run_until([&] { return log.view.count(stub3) > 0; }, 60s));
+    f.loop.run_for(30s);
+    const uint32_t cost = log.view.at(stub3).second;
+
+    log.calls.clear();
+    ASSERT_TRUE(f.topo.node(3).ospf->set_interface_cost(
+        f.topo.segment(3).ifname, 7));
+    f.loop.run_for(30s);
+    ASSERT_EQ(log.calls.size(), 1u);
+    EXPECT_TRUE(log.calls[0].add);
+    EXPECT_EQ(log.calls[0].net, stub3);
+    EXPECT_EQ(log.calls[0].metric, cost + 6);
+    EXPECT_EQ(log.view, gateway_routes(*f.topo.node(0).ospf));
+}
+
+TEST(OspfProcess, RibMatchesEngineThroughSeededLinkFlaps) {
+    TopoFixture f;
+    for (int i = 0; i < 6; ++i) f.topo.add_router();
+    RibLog log;
+    capture_rib(f, 0, log);
+    std::vector<size_t> segs;
+    for (size_t i = 0; i < 6; ++i)
+        segs.push_back(f.topo.connect(i, (i + 1) % 6));
+    segs.push_back(f.topo.connect(0, 3));
+    segs.push_back(f.topo.connect(1, 4));
+    segs.push_back(f.topo.connect_lan({2, 4, 5}));
+    for (size_t i = 0; i < 6; ++i) f.topo.add_stub(i);
+    ASSERT_TRUE(f.converge());
+    f.loop.run_for(30s);
+    const OspfProcess& p0 = *f.topo.node(0).ospf;
+    ASSERT_FALSE(log.view.empty());
+    ASSERT_EQ(log.view, gateway_routes(p0));
+    const RibView initial = log.view;
+
+    std::mt19937 rng(11);
+    std::uniform_int_distribution<size_t> pick(0, segs.size() - 1);
+    std::uniform_int_distribution<int> wait_ms(100, 45000);
+    std::vector<bool> up(segs.size(), true);
+    for (int step = 0; step < 30; ++step) {
+        size_t s = pick(rng);
+        up[s] = !up[s];
+        f.net.set_link_up(f.topo.segment(segs[s]).link_id, up[s]);
+        f.loop.run_for(std::chrono::milliseconds(wait_ms(rng)));
+        ASSERT_EQ(log.view, gateway_routes(p0)) << "step " << step;
+        ASSERT_EQ(log.view, installed_view(p0)) << "step " << step;
+    }
+    for (size_t s = 0; s < segs.size(); ++s)
+        f.net.set_link_up(f.topo.segment(segs[s]).link_id, true);
+    ASSERT_TRUE(f.converge(300s));
+    f.loop.run_for(30s);
+    EXPECT_EQ(log.view, gateway_routes(p0));
+    EXPECT_EQ(log.view, initial);
+    EXPECT_EQ(log.stray_deletes, 0u);
+    EXPECT_GT(p0.spf().stats().incremental_runs, 10u);
+}
+
+TEST(OspfProcess, MaxPathsChangeFullRunDeletesAndReadds) {
+    TopoFixture f;
+    for (int i = 0; i < 5; ++i) f.topo.add_router();
+    RibLog log;
+    capture_rib(f, 0, log);
+    f.topo.connect(0, 1);
+    f.topo.connect(0, 2);
+    f.topo.connect(1, 3);
+    f.topo.connect(2, 3);
+    size_t seg34 = f.topo.connect(3, 4);
+    IPv4Net stub3 = f.topo.add_stub(3);
+    IPv4Net stub4 = f.topo.add_stub(4);
+    ASSERT_TRUE(f.converge());
+    ASSERT_TRUE(f.loop.run_until(
+        [&] { return log.view.count(stub3) && log.view.count(stub4); }, 60s));
+    f.loop.run_for(30s);
+    OspfProcess& p0 = *f.topo.node(0).ospf;
+    ASSERT_EQ(log.view.at(stub3).first.size(), 2u);  // ECMP via r1 and r2
+
+    // One SPF run sees both a narrower ECMP width (forcing it full) and
+    // the loss of r4: the stub behind it must be deleted, the diamond's
+    // routes re-added with one member, and nothing else touched.
+    RibView before = log.view;
+    log.calls.clear();
+    uint64_t full_before = p0.spf().stats().full_runs;
+    p0.set_max_paths(1);
+    f.net.set_link_up(f.topo.segment(seg34).link_id, false);
+    f.loop.run_for(30s);
+    EXPECT_GT(p0.spf().stats().full_runs, full_before);
+    EXPECT_EQ(log.view, gateway_routes(p0));
+    EXPECT_EQ(log.view.count(stub4), 0u);
+    EXPECT_EQ(log.view.at(stub3).first.size(), 1u);
+    std::set<IPv4Net> differ;
+    for (const auto& [net, r] : before)
+        if (!log.view.count(net) || !(log.view.at(net) == r)) differ.insert(net);
+    for (const auto& [net, r] : log.view)
+        if (!before.count(net)) differ.insert(net);
+    std::set<IPv4Net> called;
+    for (const RibLog::Call& c : log.calls) called.insert(c.net);
+    EXPECT_EQ(called, differ);
+    EXPECT_EQ(log.calls.size(), differ.size());
+    bool deleted4 = false;
+    for (const RibLog::Call& c : log.calls)
+        if (!c.add && c.net == stub4) deleted4 = true;
+    EXPECT_TRUE(deleted4);
+
+    // And back: the wider width and r4's link return.
+    p0.set_max_paths(8);
+    f.net.set_link_up(f.topo.segment(seg34).link_id, true);
+    ASSERT_TRUE(f.converge(300s));
+    f.loop.run_for(30s);
+    EXPECT_EQ(log.view, gateway_routes(p0));
+    EXPECT_EQ(log.view, before);
+    EXPECT_EQ(log.stray_deletes, 0u);
 }

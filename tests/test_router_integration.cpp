@@ -66,6 +66,29 @@ TEST(ConfigTree, ParseErrors) {
     EXPECT_TRUE(ConfigTree::parse("", &err).has_value());
 }
 
+// Hostile input: 200k unclosed blocks, one per line. The parser recurses
+// once per '{', so without a depth cap this overflows the stack.
+TEST(ConfigTree, DeepNestingIsALineNumberedError) {
+    std::string text;
+    for (int i = 0; i < 200000; ++i) text += "a{\n";
+    std::string err;
+    EXPECT_FALSE(ConfigTree::parse(text, &err).has_value());
+    EXPECT_NE(err.find("nested deeper than"), std::string::npos) << err;
+    EXPECT_EQ(err.rfind("line 65:", 0), 0u) << err;
+    // The same on one line (400 KB of "a{").
+    std::string flat;
+    for (int i = 0; i < 200000; ++i) flat += "a{";
+    EXPECT_FALSE(ConfigTree::parse(flat, &err).has_value());
+    EXPECT_EQ(err.rfind("line 1:", 0), 0u) << err;
+
+    // The cap itself still parses.
+    std::string ok;
+    for (int i = 0; i < 64; ++i) ok += "a{";
+    ok += "b;";
+    for (int i = 0; i < 64; ++i) ok += "}";
+    EXPECT_TRUE(ConfigTree::parse(ok, &err).has_value()) << err;
+}
+
 TEST(RouterManager, ConfigureBuildsWorkingRouter) {
     ev::VirtualClock clock;
     ev::EventLoop loop(clock);
