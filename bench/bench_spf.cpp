@@ -36,6 +36,10 @@ struct Topology {
     size_t n = 0;
     std::vector<std::vector<std::pair<size_t, uint32_t>>> adj;
     std::vector<uint32_t> seq;
+    // The link the *LinkChange cases re-cost: both ends mid-fabric and
+    // neither is the SPF root (router 0), so a re-cost moves a real
+    // subtree rather than a leaf or the root's own uplink.
+    std::pair<size_t, size_t> middle{};
 
     explicit Topology(size_t routers) : n(routers), adj(routers),
                                         seq(routers, 1) {}
@@ -96,6 +100,9 @@ Topology make_grid(size_t side) {
             if (c + 1 < side) t.link(i, i + 1);
             if (r + 1 < side) t.link(i, i + side);
         }
+    // The centre router and its right-hand neighbour.
+    const size_t centre = (side / 2) * side + side / 2;
+    t.middle = {centre, centre + 1};
     return t;
 }
 
@@ -118,18 +125,13 @@ Topology make_fat_tree(size_t k) {
                 t.link(edge(pod, i), agg(pod, j));
             }
         }
+    // An aggregation-edge link in the middle pod (the root is core 0).
+    t.middle = {agg(k / 2, 0), edge(k / 2, 0)};
     return t;
 }
 
 Topology make_topology(bool fat_tree, size_t arg) {
     return fat_tree ? make_fat_tree(arg) : make_grid(arg);
-}
-
-// One link near the "middle" of the topology, so a re-cost moves a
-// real subtree rather than a leaf.
-std::pair<size_t, size_t> middle_link(const Topology& t) {
-    size_t a = t.n / 2;
-    return {a, t.adj[a].front().first};
 }
 
 void check_against_full(const char* shape, int64_t arg,
@@ -155,7 +157,7 @@ void run_spf_benchmark(benchmark::State& state, bool fat_tree,
     engine.set_root(Topology::rid(0));
     engine.run_full(db);
 
-    auto [a, b] = middle_link(topo);
+    auto [a, b] = topo.middle;
     uint32_t flip = 0;
     for (auto _ : state) {
         std::vector<LsaKey> changed;

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 CI: plain build + tests, then the repo benchmark's self-test,
+# Tier-1 CI: plain build + tests, then the text route verbs driven end to
+# end through call_xrl, then the repo benchmark's self-test,
 # then an address/undefined-sanitized build + tests, then a chaos pass (the integration + chaos suites rerun
 # with seeded XRL fault injection — 5% drops and 0-10 ms delays on every
 # dispatch — so the reliable call contract is exercised on every run),
@@ -18,6 +19,26 @@ echo "== plain build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "== scripting pair end to end (call_xrl) =="
+# call_xrl is the one user of the text route verbs: every in-tree sender
+# uses rib/1.0/add_routes_bulk and fea/1.0/add_routes4_bulk. Drive the
+# rib/1.0 pair with explicit XRLs; fail unless every call answers OKAY
+# and the lookup returns the added prefix.
+XRL_OUT="$(build/examples/call_xrl \
+    'finder://rib/rib/1.0/add_route?protocol:txt=static&net:ipv4net=10.20.0.0/16&nexthop:ipv4=192.0.2.9&metric:u32=1' \
+    'finder://rib/rib/1.0/lookup_route4?addr:ipv4=10.20.3.4' \
+    'finder://fea/fea/1.0/get_fib_size' \
+    'finder://rib/rib/1.0/delete_route?protocol:txt=static&net:ipv4net=10.20.0.0/16')"
+echo "$XRL_OUT"
+if [ "$(echo "$XRL_OUT" | grep -c '^  OKAY')" -ne 4 ]; then
+    echo "call_xrl: not every call answered OKAY"
+    exit 1
+fi
+if ! echo "$XRL_OUT" | grep -q 'found:bool=true&net:ipv4net=10.20.0.0%2f16&'; then
+    echo "call_xrl: lookup_route4 did not return 10.20.0.0/16"
+    exit 1
+fi
 
 echo "== repo benchmark self-test =="
 # perfbench compiles ../src on its own and calls RouteBatch::encode/decode

@@ -38,7 +38,7 @@ int main() {
             loop, std::make_unique<rib::DirectFeaHandle>(*n.fea));
         n.rip = std::make_unique<rip::RipProcess>(
             loop, *n.fea, rip::RipProcess::Config{},
-            std::make_unique<rip::DirectRibClient>(*n.rib));
+            std::make_unique<rib::DirectRibClient>(*n.rib));
     }
 
     // Links: (a, b, subnet-id). Subnet 10.0.<id>.0/24; a gets .1, b .2.

@@ -21,7 +21,7 @@ int main() {
     fea.interfaces().add_interface("eth0", IPv4::must_parse("10.0.1.1"), 24);
     rib::Rib rib(loop, std::make_unique<rib::DirectFeaHandle>(fea));
     rip::RipProcess rip(loop, fea, rip::RipProcess::Config{},
-                        std::make_unique<rip::DirectRibClient>(rib));
+                        std::make_unique<rib::DirectRibClient>(rib));
     rip.enable_interface("eth0");
 
     // The redistribution policy, in the §8.3 stack language: only statics

@@ -2,15 +2,17 @@
 //   - bind_bgp_xrl(): exposes bgp/1.0 (origination, introspection) and
 //     rib_client/1.0 (registration invalidations from the RIB) on an
 //     XrlRouter;
-//   - XrlRibHandle: BGP's coupling to the RIB over XRLs — winners flow to
-//     rib/1.0/add_route, nexthop questions go through the Figure-8
-//     register_interest protocol asynchronously, exactly the coupling the
-//     paper's NexthopResolver stage describes (§5.1.1, §5.2.1).
+//   - XrlRibHandle: BGP's coupling to the RIB over XRLs — winner deltas
+//     flow through a rib::XrlRibClient as rib/1.0/add_routes_bulk, nexthop
+//     questions go through the Figure-8 register_interest protocol
+//     asynchronously, exactly the coupling the paper's NexthopResolver
+//     stage describes (§5.1.1, §5.2.1).
 #ifndef XRP_BGP_BGP_XRL_HPP
 #define XRP_BGP_BGP_XRL_HPP
 
 #include "bgp/process.hpp"
 #include "ipc/router.hpp"
+#include "rib/rib_client.hpp"
 #include "telemetry/journal.hpp"
 
 namespace xrp::bgp {
@@ -29,52 +31,37 @@ void bind_bgp_xrl(BgpProcess& bgp, ipc::XrlRouter& router);
 class XrlRibHandle final : public RibHandle {
 public:
     XrlRibHandle(ipc::XrlRouter& router, std::string rib_target = "rib")
-        : router_(router), target_(std::move(rib_target)) {}
-
-    // One marshalling path for scalar and multipath winners: the
-    // 1-member set's text form is byte-identical to the bare address, so
-    // every add goes out as rib/1.0/add_route_multipath. Route pushes are
-    // idempotent: mark them so the call contract may retry through drops
-    // without risking double-execution harm.
-    void add_route(const BgpRoute& r) override {
-        trace_sent(r, "add");
-        xrl::XrlArgs args;
-        args.add("protocol", r.protocol)
-            .add("net", r.net)
-            .add("nexthops", r.nexthop_set().str())
-            .add("metric", wire_metric(r));
-        router_.call_oneway(
-            xrl::Xrl::generic(target_, "rib", "1.0", "add_route_multipath",
-                              args),
-            ipc::CallOptions::reliable());
-    }
-
-    void delete_route(const BgpRoute& r) override {
-        xrl::XrlArgs args;
-        args.add("protocol", r.protocol).add("net", r.net);
-        trace_sent(r, "delete");
-        router_.call_oneway(
-            xrl::Xrl::generic(target_, "rib", "1.0", "delete_route", args),
-            ipc::CallOptions::reliable());
-    }
+        : router_(router), target_(rib_target), client_(router, rib_target) {}
 
     // A whole decision delta as a handful of framed add_routes_bulk XRLs.
     // The bulk verb carries the protocol at batch level, but one decision
     // batch may mix ebgp and ibgp winners, so entries are regrouped per
     // protocol first (a replace whose halves changed protocol splits into
-    // its delete and add — they target different RIB origins anyway).
+    // its delete and add — they target different RIB origins anyway). The
+    // wire's metric slot carries the resolved IGP metric.
     void push_batch(stage::RouteBatch4&& batch) override {
         std::map<std::string, stage::RouteBatch4> by_proto;
         for (auto& e : batch.entries()) {
-            if (e.op == stage::BatchOp::kReplace &&
-                e.old_route.protocol != e.route.protocol) {
-                by_proto[e.old_route.protocol].del(std::move(e.old_route));
-                by_proto[e.route.protocol].add(std::move(e.route));
-            } else {
-                by_proto[e.route.protocol].push(std::move(e));
+            e.route.metric = wire_metric(e.route);
+            if (e.op == stage::BatchOp::kReplace) {
+                e.old_route.metric = wire_metric(e.old_route);
+                if (e.old_route.protocol != e.route.protocol) {
+                    by_proto[e.old_route.protocol].del(
+                        std::move(e.old_route));
+                    by_proto[e.route.protocol].add(std::move(e.route));
+                    continue;
+                }
             }
+            by_proto[e.route.protocol].push(std::move(e));
         }
-        for (auto& [proto, b] : by_proto) send_bulk(proto, std::move(b));
+        for (auto& [proto, b] : by_proto) {
+            // The paper's "Sent to RIB" trace point.
+            if (telemetry::trace_points_enabled())
+                telemetry::Journal::current().record_batch(
+                    router_.loop().now(), telemetry::JournalKind::kBgpRibSent,
+                    {}, "bgp", b);
+            client_.push_batch(proto, std::move(b));
+        }
     }
 
     void register_interest(
@@ -113,60 +100,9 @@ private:
                                                         : r.igp_metric;
     }
 
-    void send_bulk(const std::string& protocol, stage::RouteBatch4&& b) {
-        b.coalesce();
-        if (b.empty()) return;
-        if (b.size() == 1 &&
-            b.entries()[0].op != stage::BatchOp::kReplace) {
-            // Singleton leftovers keep the legacy wire shape.
-            auto& e = b.entries()[0];
-            if (e.op == stage::BatchOp::kAdd)
-                add_route(e.route);
-            else
-                delete_route(e.route);
-            return;
-        }
-        stage::RouteBatch4 chunk;
-        auto flush = [&] {
-            if (chunk.empty()) return;
-            xrl::XrlArgs args;
-            args.add("protocol", protocol).add("routes", chunk.encode_bytes());
-            router_.call_oneway(
-                xrl::Xrl::generic(target_, "rib", "1.0", "add_routes_bulk",
-                                  args),
-                ipc::CallOptions::reliable());
-            chunk.clear();
-        };
-        if (telemetry::trace_points_enabled())
-            telemetry::Journal::current().record_batch(
-                router_.loop().now(), telemetry::JournalKind::kBgpRibSent, {},
-                "bgp", b);
-        for (auto& e : b.entries()) {
-            // The wire's metric slot carries the resolved IGP metric,
-            // matching what the scalar verbs send.
-            e.route.metric = wire_metric(e.route);
-            if (e.op == stage::BatchOp::kReplace)
-                e.old_route.metric = wire_metric(e.old_route);
-            chunk.push(std::move(e));
-            if (chunk.size() >= kBulkChunkEntries) flush();
-        }
-        flush();
-    }
-
-    // The paper's "Sent to RIB" trace point.
-    void trace_sent(const BgpRoute& r, const char* op) {
-        if (telemetry::trace_points_enabled())
-            telemetry::Journal::current().record(
-                router_.loop().now(), telemetry::JournalKind::kBgpRibSent, {},
-                "bgp", r.net.str(), op);
-    }
-
-    // Entries per add_routes_bulk message: bounds any one XRL's payload
-    // without meaningfully increasing the message count at 1M-route scale.
-    static constexpr size_t kBulkChunkEntries = 8192;
-
     ipc::XrlRouter& router_;
     std::string target_;
+    rib::XrlRibClient client_;
 };
 
 }  // namespace xrp::bgp

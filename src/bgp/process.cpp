@@ -79,25 +79,12 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
     decision_->set_downstream(fanout_.get());
     fanout_->set_upstream(decision_.get());
 
-    rib_branch_ = std::make_unique<stage::SinkStage<IPv4>>(
-        "rib-branch", [this](bool is_add, const BgpRoute& r) {
-            // Self-originated winners came from the local routing table
-            // (network statements); feeding them back would ask the RIB
-            // for an origin it doesn't have.
-            if (r.protocol == "local") return;
-            if (telemetry::trace_points_enabled())
-                telemetry::Journal::current().record(
-                    loop_.now(), telemetry::JournalKind::kBgpRibQueued, {},
-                    "bgp", r.net.str(), is_add ? "add" : "delete");
-            if (is_add)
-                rib_->add_route(r);
-            else
-                rib_->delete_route(r);
-        });
+    rib_branch_ = std::make_unique<stage::SinkStage<IPv4>>("rib-branch");
     rib_branch_->set_batch_callback([this](stage::RouteBatch<IPv4>&& batch) {
-        // Same per-route filtering as the scalar callback, applied per
-        // entry; a replace whose halves disagree degrades to the
-        // surviving half. The filtered delta ships as one RIB call.
+        // Self-originated winners came from the local routing table
+        // (network statements); feeding them back would ask the RIB for an
+        // origin it doesn't have. A replace whose halves disagree degrades
+        // to the surviving half. The filtered delta ships as one RIB call.
         stage::RouteBatch<IPv4> out;
         out.reserve(batch.size());
         for (auto& e : batch.entries()) {

@@ -36,35 +36,29 @@
 namespace xrp::bgp {
 
 // BGP's view of the RIB (§3: BGP "must examine the routing information
-// supplied to the RIB by other routing protocols").
+// supplied to the RIB by other routing protocols"). Winners leave as
+// deltas through push_batch: the rib-branch sink hands even a lone change
+// on as a one-entry batch. The scalar virtuals call nothing in the
+// program; they remain for handles written against them, and by default
+// wrap their change in a one-entry batch.
 class RibHandle {
 public:
     virtual ~RibHandle() = default;
-    virtual void add_route(const BgpRoute& r) = 0;
-    virtual void delete_route(const BgpRoute& r) = 0;
-    // Bulk delta: one call per batch of winners. The default unrolls to
-    // the scalar verbs; transport-backed handles override it to ship the
-    // whole delta as one framed message.
-    virtual void push_batch(stage::RouteBatch<net::IPv4>&& batch) {
-        for (auto& e : batch.entries()) {
-            switch (e.op) {
-            case stage::BatchOp::kAdd:
-                add_route(e.route);
-                break;
-            case stage::BatchOp::kDelete:
-                delete_route(e.route);
-                break;
-            case stage::BatchOp::kReplace:
-                delete_route(e.old_route);
-                add_route(e.route);
-                break;
-            }
-        }
-    }
+    virtual void push_batch(stage::RouteBatch<net::IPv4>&& batch) = 0;
     // Figure-8 registration: answer arrives asynchronously with the IGP
     // metric (nullopt = unreachable) and the validity subnet.
     virtual void register_interest(
         net::IPv4 nexthop, NexthopResolverStage::AnswerCallback answer) = 0;
+    virtual void add_route(const BgpRoute& r) {
+        stage::RouteBatch<net::IPv4> b;
+        b.add(r);
+        push_batch(std::move(b));
+    }
+    virtual void delete_route(const BgpRoute& r) {
+        stage::RouteBatch<net::IPv4> b;
+        b.del(r);
+        push_batch(std::move(b));
+    }
 };
 
 // Standalone operation: every nexthop resolves with metric 0 and the
@@ -72,8 +66,7 @@ public:
 // which exercises propagation rather than hot-potato selection.
 class NullRibHandle final : public RibHandle {
 public:
-    void add_route(const BgpRoute&) override {}
-    void delete_route(const BgpRoute&) override {}
+    void push_batch(stage::RouteBatch<net::IPv4>&&) override {}
     void register_interest(
         net::IPv4 nexthop,
         NexthopResolverStage::AnswerCallback answer) override {

@@ -9,20 +9,11 @@ void bind_fea_xrl(Fea& fea, ipc::XrlRouter& router) {
     auto spec = xrl::InterfaceSpec::parse(kFeaIdl);
     router.add_interface(*spec);
 
-    // add_route4_multipath is the canonical install verb (a bare address
-    // is the 1-member set); add_route4 stays as a thin compat wrapper.
-    router.add_handler(
-        "fea/1.0/add_route4_multipath", [&fea](const XrlArgs& in, XrlArgs&) {
-            auto set = net::NexthopSet4::parse(*in.get_text("nexthops"));
-            if (!set || set->empty())
-                return XrlError::command_failed("bad nexthops");
-            fea.add_route(*in.get_ipv4net("net"), *set);
-            return XrlError::okay();
-        });
+    // The scripting pair: the same Fea::add_route/delete_route that
+    // apply_batch uses for each entry of add_routes4_bulk.
     router.add_handler(
         "fea/1.0/add_route4", [&fea](const XrlArgs& in, XrlArgs&) {
-            fea.add_route(*in.get_ipv4net("net"),
-                          net::NexthopSet4::single(*in.get_ipv4("nexthop")));
+            fea.add_route(*in.get_ipv4net("net"), *in.get_ipv4("nexthop"));
             return XrlError::okay();
         });
     router.add_handler(

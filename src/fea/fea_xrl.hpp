@@ -1,6 +1,9 @@
 // XRL interface of the FEA ("fea/1.0"). In the paper's architecture the
 // FEA is its own process; here the adapter binds a Fea instance to an
 // XrlRouter so the RIB (and anything else) reaches it purely via XRLs.
+// FIB changes have one verb for programs, add_routes4_bulk (the RouteBatch
+// codec the RIB's XrlFeaHandle sends), and one text pair for scripts,
+// add_route4/delete_route4.
 #ifndef XRP_FEA_FEA_XRL_HPP
 #define XRP_FEA_FEA_XRL_HPP
 
@@ -12,7 +15,6 @@ namespace xrp::fea {
 inline constexpr const char* kFeaIdl = R"(
 interface fea/1.0 {
     add_route4 ? net:ipv4net & nexthop:ipv4;
-    add_route4_multipath ? net:ipv4net & nexthops:txt;
     add_routes4_bulk ? routes:binary;
     delete_route4 ? net:ipv4net;
     lookup_route4 ? addr:ipv4 -> found:bool & net:ipv4net & nexthop:ipv4;

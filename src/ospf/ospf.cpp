@@ -31,14 +31,14 @@ const char* neighbor_state_name(NeighborState s) {
 }
 
 OspfProcess::OspfProcess(ev::EventLoop& loop, fea::Fea& fea, Config config,
-                         std::unique_ptr<RibClient> rib)
+                         std::unique_ptr<rib::RibClient> rib)
     : loop_(loop),
       fea_(fea),
       config_(config),
       rib_(std::move(rib)),
       router_id_(config.router_id),
       db_(loop, config.max_age_secs) {
-    if (!rib_) rib_ = std::make_unique<NullRibClient>();
+    if (!rib_) rib_ = std::make_unique<rib::NullRibClient>();
     auto& reg = telemetry::Registry::global();
     m_spf_full_ = reg.counter(
         telemetry::metric_key("ospf_spf_runs_total", {{"mode", "full"}}));
@@ -674,27 +674,29 @@ void OspfProcess::run_spf() {
         std::chrono::duration_cast<ev::Duration>(t1 - t0));
     m_lsa_count_->set(static_cast<int64_t>(db_.size()));
 
-    // Sync the prefixes the run may have moved into the RIB. Prefixes whose
-    // best path has no gateway are the root's own or directly attached
-    // segments — the connected origin owns those, OSPF must not shadow
-    // them.
+    // Sync the prefixes the run may have moved into the RIB, as one batch.
+    // Prefixes whose best path has no gateway are the root's own or
+    // directly attached segments — the connected origin owns those, OSPF
+    // must not shadow them.
+    stage::RouteBatch4 delta;
     for (const IPv4Net& net : engine_.take_moved_prefixes()) {
         auto cit = computed.find(net);
         auto iit = installed_.find(net);
         if (cit == computed.end() || cit->second.nexthop == IPv4()) {
             if (iit != installed_.end()) {
-                rib_->delete_route(net);
+                delta.del(net);
                 installed_.erase(iit);
             }
             continue;
         }
         const SpfRoute& r = cit->second;
         // OriginStage add is replace-on-duplicate, so metric/nexthop
-        // changes are a single add_route.
+        // changes are a single add.
         if (iit != installed_.end() && iit->second == r) continue;
         installed_.insert_or_assign(iit, net, r);
-        rib_->add_route(net, r.nexthops, r.cost);
+        delta.add(net, r.nexthops, r.cost);
     }
+    if (!delta.empty()) rib_->push_batch("ospf", std::move(delta));
 }
 
 void OspfProcess::set_max_paths(uint32_t k) {

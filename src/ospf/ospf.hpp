@@ -14,8 +14,9 @@
 // per-neighbour retransmit lists re-scanned on a timer: Update/Request/
 // DbDesc packets lost to simnet loss are re-sent until acknowledged.
 //
-// Learned routes feed the RIB through the RibClient coupling ("ospf"
-// protocol, admin distance 110).
+// Learned routes feed the RIB through a rib::RibClient ("ospf" protocol,
+// admin distance 110): each SPF run sends the prefixes it moved as one
+// batch.
 #ifndef XRP_OSPF_OSPF_HPP
 #define XRP_OSPF_OSPF_HPP
 
@@ -25,51 +26,10 @@
 #include "fea/fea.hpp"
 #include "ospf/packet.hpp"
 #include "ospf/spf.hpp"
-#include "rib/rib.hpp"
+#include "rib/rib_client.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace xrp::ospf {
-
-// Coupling to the RIB (abstract for standalone tests). SPF pushes full
-// ECMP successor sets; the set overload defaults to forwarding the
-// primary member so scalar-only clients keep working unchanged.
-class RibClient {
-public:
-    virtual ~RibClient() = default;
-    virtual void add_route(const net::IPv4Net& net, net::IPv4 nexthop,
-                           uint32_t metric) = 0;
-    virtual void add_route(const net::IPv4Net& net,
-                           const net::NexthopSet4& nexthops, uint32_t metric) {
-        add_route(net, nexthops.empty() ? net::IPv4() : nexthops.primary(),
-                  metric);
-    }
-    virtual void delete_route(const net::IPv4Net& net) = 0;
-};
-
-class NullRibClient final : public RibClient {
-public:
-    void add_route(const net::IPv4Net&, net::IPv4, uint32_t) override {}
-    void delete_route(const net::IPv4Net&) override {}
-};
-
-class DirectRibClient final : public RibClient {
-public:
-    explicit DirectRibClient(rib::Rib& rib) : rib_(rib) {}
-    void add_route(const net::IPv4Net& net, net::IPv4 nexthop,
-                   uint32_t metric) override {
-        rib_.add_route("ospf", net, nexthop, metric);
-    }
-    void add_route(const net::IPv4Net& net, const net::NexthopSet4& nexthops,
-                   uint32_t metric) override {
-        rib_.add_route("ospf", net, nexthops, metric);
-    }
-    void delete_route(const net::IPv4Net& net) override {
-        rib_.delete_route("ospf", net);
-    }
-
-private:
-    rib::Rib& rib_;
-};
 
 enum class NeighborState : uint8_t {
     kDown = 0,
@@ -101,7 +61,7 @@ public:
     };
 
     OspfProcess(ev::EventLoop& loop, fea::Fea& fea, Config config,
-                std::unique_ptr<RibClient> rib = nullptr);
+                std::unique_ptr<rib::RibClient> rib = nullptr);
     // Defaults-everything convenience (defined out of class: in-class
     // default args may not use Config's member initializers).
     OspfProcess(ev::EventLoop& loop, fea::Fea& fea);
@@ -212,7 +172,7 @@ private:
     fea::Fea& fea_;
     std::string node_;
     Config config_;
-    std::unique_ptr<RibClient> rib_;
+    std::unique_ptr<rib::RibClient> rib_;
     net::IPv4 router_id_{};
     int sock_ = 0;
     uint64_t iftable_listener_ = 0;

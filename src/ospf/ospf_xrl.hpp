@@ -1,8 +1,6 @@
-// XRL plumbing for OSPF:
-//   - bind_ospf_xrl(): exposes the ospf/1.0 interface (interface control
-//     and observability) on an XrlRouter;
-//   - XrlRibClient: the OSPF process's coupling to the RIB over XRLs, the
-//     same decoupling RIP uses ("ospf" protocol, admin distance 110).
+// XRL plumbing for OSPF: bind_ospf_xrl() exposes the ospf/1.0 interface
+// (interface control and observability) on an XrlRouter. Routes reach the
+// RIB through a rib::XrlRibClient, as every protocol's do.
 #ifndef XRP_OSPF_OSPF_XRL_HPP
 #define XRP_OSPF_OSPF_XRL_HPP
 
@@ -25,57 +23,6 @@ interface ospf/1.0 {
 
 // Registers ospf/1.0 on `router` backed by `ospf`.
 void bind_ospf_xrl(OspfProcess& ospf, ipc::XrlRouter& router);
-
-class XrlRibClient final : public RibClient {
-public:
-    explicit XrlRibClient(ipc::XrlRouter& router, std::string rib_target = "rib")
-        : router_(router), target_(std::move(rib_target)) {}
-
-    void add_route(const net::IPv4Net& net, net::IPv4 nexthop,
-                   uint32_t metric) override {
-        xrl::XrlArgs args;
-        args.add("protocol", std::string("ospf"))
-            .add("net", net)
-            .add("nexthop", nexthop)
-            .add("metric", metric);
-        // Route pushes are idempotent: mark them so the call contract may
-        // retry through drops without risking double-execution harm.
-        router_.call_oneway(
-            xrl::Xrl::generic(target_, "rib", "1.0", "add_route", args),
-            ipc::CallOptions::reliable());
-    }
-
-    void add_route(const net::IPv4Net& net, const net::NexthopSet4& nexthops,
-                   uint32_t metric) override {
-        if (nexthops.size() <= 1) {
-            add_route(net,
-                      nexthops.empty() ? net::IPv4() : nexthops.primary(),
-                      metric);
-            return;
-        }
-        xrl::XrlArgs args;
-        args.add("protocol", std::string("ospf"))
-            .add("net", net)
-            .add("nexthops", nexthops.str())
-            .add("metric", metric);
-        router_.call_oneway(
-            xrl::Xrl::generic(target_, "rib", "1.0", "add_route_multipath",
-                              args),
-            ipc::CallOptions::reliable());
-    }
-
-    void delete_route(const net::IPv4Net& net) override {
-        xrl::XrlArgs args;
-        args.add("protocol", std::string("ospf")).add("net", net);
-        router_.call_oneway(
-            xrl::Xrl::generic(target_, "rib", "1.0", "delete_route", args),
-            ipc::CallOptions::reliable());
-    }
-
-private:
-    ipc::XrlRouter& router_;
-    std::string target_;
-};
 
 }  // namespace xrp::ospf
 

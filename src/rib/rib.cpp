@@ -63,32 +63,10 @@ Rib::Rib(ev::EventLoop& loop, std::unique_ptr<FeaHandle> fea)
         m_ecmp_routes_ = reg.gauge("rib_ecmp_routes");
         m_ecmp_members_ = reg.gauge("rib_ecmp_members");
     }
-    final_ = std::make_unique<stage::SinkStage<IPv4>>(
-        "fea-branch", [this](bool is_add, const Route4& r) {
-            if (telemetry::trace_points_enabled())
-                telemetry::Journal::current().record(
-                    loop_.now(), telemetry::JournalKind::kRibFeaQueued, node_,
-                    "rib", r.net.str(), is_add ? "add" : "delete");
-            // Replacement is delete(old)+add(new), so the ECMP occupancy
-            // gauges stay balanced across set membership changes.
-            if (r.is_multipath()) {
-                m_ecmp_routes_->add(is_add ? 1 : -1);
-                m_ecmp_members_->add(
-                    (is_add ? 1 : -1) *
-                    static_cast<int64_t>(r.nexthops.size()));
-            }
-            if (is_add) {
-                if (r.is_multipath())
-                    fea_->add_route(r.net, r.nexthops);
-                else
-                    fea_->add_route(r.net, r.nexthop);
-            } else {
-                fea_->delete_route(r.net);
-            }
-        });
-    // Batched winners ship to the FEA as one delta; per-entry gauge and
-    // trace bookkeeping mirrors the scalar callback (a replace is a
-    // delete(old)+add(new) for both).
+    // Winners ship to the FEA as deltas (a lone change as a one-entry
+    // batch). A replace is a delete(old)+add(new) for the ECMP occupancy
+    // gauges, so they stay balanced across set membership changes.
+    final_ = std::make_unique<stage::SinkStage<IPv4>>("fea-branch");
     final_->set_batch_callback([this](stage::RouteBatch<IPv4>&& batch) {
         if (telemetry::trace_points_enabled())
             telemetry::Journal::current().record_batch(
@@ -115,54 +93,6 @@ Rib::Rib(ev::EventLoop& loop, std::unique_ptr<FeaHandle> fea)
 }
 
 Rib::~Rib() = default;
-
-bool Rib::add_route(const std::string& protocol, const IPv4Net& net,
-                    IPv4 nexthop, uint32_t metric) {
-    // The scalar verb is the 1-member degenerate case of the set verb;
-    // set_nexthops() collapses it back so the stored route is identical.
-    return add_route(protocol, net, net::NexthopSet4::single(nexthop),
-                     metric);
-}
-
-bool Rib::add_route(const std::string& protocol, const IPv4Net& net,
-                    const net::NexthopSet4& nexthops, uint32_t metric) {
-    auto it = origins_.find(protocol);
-    if (it == origins_.end()) return false;
-    it->second.adds->inc();
-    Route4 r;
-    r.net = net;
-    r.set_nexthops(nexthops);
-    r.metric = metric;
-    r.admin_distance = it->second.admin_distance;
-    r.protocol = protocol;
-    if (telemetry::journal_enabled())
-        telemetry::Journal::current().record(
-            loop_.now(), telemetry::JournalKind::kRouteInstall, node_, "rib",
-            net.str(), protocol + ":" + r.nexthop_set().str(),
-            static_cast<int64_t>(metric));
-    it->second.stage->add_route(r);
-    if (it->second.state != OriginState::kFresh)
-        it->second.stale_gauge->set(
-            static_cast<int64_t>(it->second.stage->stale_count()));
-    return true;
-}
-
-bool Rib::delete_route(const std::string& protocol, const IPv4Net& net) {
-    auto it = origins_.find(protocol);
-    if (it == origins_.end()) return false;
-    it->second.deletes->inc();
-    if (telemetry::journal_enabled())
-        telemetry::Journal::current().record(
-            loop_.now(), telemetry::JournalKind::kRouteWithdraw, node_, "rib",
-            net.str(), protocol);
-    Route4 r;
-    r.net = net;
-    it->second.stage->delete_route(r);
-    if (it->second.state != OriginState::kFresh)
-        it->second.stale_gauge->set(
-            static_cast<int64_t>(it->second.stage->stale_count()));
-    return true;
-}
 
 bool Rib::push_batch(const std::string& protocol,
                      stage::RouteBatch4&& batch) {

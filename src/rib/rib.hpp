@@ -19,8 +19,10 @@
 // Every origin shown is live: connected routes come from the FEA's
 // interface table, static from the Router Manager, ospf from the
 // OspfProcess's SPF results, rip from the RipProcess, and ebgp/ibgp from
-// the BgpProcess — each injecting through add_route under its protocol
-// name and arbitrated by the distance table below.
+// the BgpProcess — each pushing deltas under its protocol name through a
+// rib::RibClient (rib_client.hpp) and arbitrated by the distance table
+// below. Winners leave for the FEA the same way, one delta per change set,
+// through a FeaHandle.
 //
 // Profiling points: "rib_in" (route arriving at the RIB) and
 // "rib_fea_queued" (winner queued for transmission to the FEA) — the
@@ -48,65 +50,40 @@ namespace xrp::rib {
 using Route4 = stage::Route<net::IPv4>;
 
 // Coupling to the FEA, abstract so the RIB tests standalone and deploys
-// over XRLs. Multipath winners go through the set overload; its default
-// forwards the primary member so scalar-only handles stay correct (they
-// just lose the extra members).
+// over XRLs. Every winner change reaches it as a delta through push_batch:
+// the fea-branch sink hands even a lone add or delete on as a one-entry
+// batch. The scalar virtuals call nothing in the program; they remain for
+// handles written against them, and by default wrap their change in a
+// one-entry batch.
 class FeaHandle {
 public:
     virtual ~FeaHandle() = default;
-    virtual void add_route(const net::IPv4Net& net, net::IPv4 nexthop) = 0;
+    virtual void push_batch(stage::RouteBatch4&& batch) = 0;
+    virtual void add_route(const net::IPv4Net& net, net::IPv4 nexthop) {
+        add_route(net, net::NexthopSet4::single(nexthop));
+    }
     virtual void add_route(const net::IPv4Net& net,
                            const net::NexthopSet4& nexthops) {
-        add_route(net, nexthops.empty() ? net::IPv4() : nexthops.primary());
+        stage::RouteBatch4 b;
+        b.add(net, nexthops, 0);
+        push_batch(std::move(b));
     }
-    virtual void delete_route(const net::IPv4Net& net) = 0;
-    // Bulk delta: the default unrolls to the scalar verbs; transport or
-    // direct handles override it to apply the whole delta in one call.
-    virtual void push_batch(stage::RouteBatch4&& batch) {
-        for (auto& e : batch.entries()) {
-            switch (e.op) {
-            case stage::BatchOp::kAdd:
-                if (e.route.is_multipath())
-                    add_route(e.route.net, e.route.nexthops);
-                else
-                    add_route(e.route.net, e.route.nexthop);
-                break;
-            case stage::BatchOp::kDelete:
-                delete_route(e.route.net);
-                break;
-            case stage::BatchOp::kReplace:
-                delete_route(e.old_route.net);
-                if (e.route.is_multipath())
-                    add_route(e.route.net, e.route.nexthops);
-                else
-                    add_route(e.route.net, e.route.nexthop);
-                break;
-            }
-        }
+    virtual void delete_route(const net::IPv4Net& net) {
+        stage::RouteBatch4 b;
+        b.del(net);
+        push_batch(std::move(b));
     }
 };
 
 class NullFeaHandle final : public FeaHandle {
 public:
-    using FeaHandle::add_route;
-    void add_route(const net::IPv4Net&, net::IPv4) override {}
-    void delete_route(const net::IPv4Net&) override {}
+    void push_batch(stage::RouteBatch4&&) override {}
 };
 
 // Same-address-space FEA coupling (single-process router assembly).
 class DirectFeaHandle final : public FeaHandle {
 public:
     explicit DirectFeaHandle(fea::Fea& fea) : fea_(fea) {}
-    void add_route(const net::IPv4Net& net, net::IPv4 nexthop) override {
-        fea_.add_route(net, nexthop);
-    }
-    void add_route(const net::IPv4Net& net,
-                   const net::NexthopSet4& nexthops) override {
-        fea_.add_route(net, nexthops);
-    }
-    void delete_route(const net::IPv4Net& net) override {
-        fea_.delete_route(net);
-    }
     void push_batch(stage::RouteBatch4&& batch) override {
         fea_.apply_batch(batch);
     }
@@ -143,17 +120,31 @@ public:
     // ---- protocol route input -------------------------------------------
     // Known protocols: connected, static, ospf, rip (internal), ebgp,
     // ibgp (external). Returns false for an unknown protocol name.
-    bool add_route(const std::string& protocol, const net::IPv4Net& net,
-                   net::IPv4 nexthop, uint32_t metric = 0);
-    // Multipath entry point: a 0/1-member set degrades to the scalar form
-    // so downstream stages see the identical route either way.
-    bool add_route(const std::string& protocol, const net::IPv4Net& net,
-                   const net::NexthopSet4& nexthops, uint32_t metric = 0);
-    bool delete_route(const std::string& protocol, const net::IPv4Net& net);
-    // Bulk entry point: one ordered delta from a single origin protocol.
+    //
+    // The one entry point: an ordered delta from a single origin protocol.
     // Entries are stamped with the protocol's admin distance and flow into
-    // the origin as one message; scalar verbs are the degenerate case.
+    // the origin as one message.
     bool push_batch(const std::string& protocol, stage::RouteBatch4&& batch);
+    // One-entry batches through push_batch, for callers with one change in
+    // hand (the rib/1.0 scripting pair, harnesses). A 0/1-member set
+    // degrades to the scalar form, so downstream stages see the identical
+    // route either way.
+    bool add_route(const std::string& protocol, const net::IPv4Net& net,
+                   net::IPv4 nexthop, uint32_t metric = 0) {
+        return add_route(protocol, net, net::NexthopSet4::single(nexthop),
+                         metric);
+    }
+    bool add_route(const std::string& protocol, const net::IPv4Net& net,
+                   const net::NexthopSet4& nexthops, uint32_t metric = 0) {
+        stage::RouteBatch4 b;
+        b.add(net, nexthops, metric);
+        return push_batch(protocol, std::move(b));
+    }
+    bool delete_route(const std::string& protocol, const net::IPv4Net& net) {
+        stage::RouteBatch4 b;
+        b.del(net);
+        return push_batch(protocol, std::move(b));
+    }
     void set_admin_distance(const std::string& protocol, uint32_t distance);
 
     // ---- winner queries -----------------------------------------------

@@ -21,26 +21,12 @@ void bind_rib_xrl(Rib& rib, ipc::XrlRouter& router) {
     auto spec = xrl::InterfaceSpec::parse(kRibIdl);
     router.add_interface(*spec);
 
-    // add_route_multipath is the canonical route-input verb: nexthops is
-    // the NexthopSet canonical text form ("addr[@w]|addr[@w]..."), and a
-    // bare address parses as the 1-member set, so the scalar add_route
-    // verb below is a thin compat wrapper over the same path.
-    router.add_handler(
-        "rib/1.0/add_route_multipath", [&rib](const XrlArgs& in, XrlArgs&) {
-            auto set = net::NexthopSet4::parse(*in.get_text("nexthops"));
-            if (!set || set->empty())
-                return XrlError::command_failed("bad nexthops");
-            if (!rib.add_route(*in.get_text("protocol"),
-                               *in.get_ipv4net("net"), *set,
-                               *in.get_u32("metric")))
-                return XrlError::command_failed("unknown protocol");
-            return XrlError::okay();
-        });
+    // The scripting pair: one route as text atoms, carried into the RIB as
+    // a one-entry batch through the same push_batch as add_routes_bulk.
     router.add_handler(
         "rib/1.0/add_route", [&rib](const XrlArgs& in, XrlArgs&) {
             if (!rib.add_route(*in.get_text("protocol"),
-                               *in.get_ipv4net("net"),
-                               net::NexthopSet4::single(*in.get_ipv4("nexthop")),
+                               *in.get_ipv4net("net"), *in.get_ipv4("nexthop"),
                                *in.get_u32("metric")))
                 return XrlError::command_failed("unknown protocol");
             return XrlError::okay();

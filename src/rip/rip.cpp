@@ -12,7 +12,7 @@ const IPv4 kRipGroup = IPv4((224u << 24) | 9);
 }  // namespace
 
 RipProcess::RipProcess(ev::EventLoop& loop, fea::Fea& fea, Config config,
-                       std::unique_ptr<RibClient> rib)
+                       std::unique_ptr<rib::RibClient> rib)
     : loop_(loop),
       fea_(fea),
       config_(config),
@@ -22,7 +22,7 @@ RipProcess::RipProcess(ev::EventLoop& loop, fea::Fea& fea, Config config,
           [this](bool is_add, const RipRoute& r) {
               on_route_change(is_add, r);
           }) {
-    if (!rib_) rib_ = std::make_unique<NullRibClient>();
+    if (!rib_) rib_ = std::make_unique<rib::NullRibClient>();
     sock_ = fea_.udp_open(kRipPort,
                           [this](const std::string& ifname,
                                  const fea::Datagram& d) {
@@ -176,10 +176,12 @@ void RipProcess::fire_triggered() {
 }
 
 void RipProcess::on_route_change(bool is_add, const RipRoute& r) {
+    stage::RouteBatch4 delta;
     if (is_add)
-        rib_->add_route(r.net, r.nexthop, r.metric);
+        delta.add(r.net, net::NexthopSet4::single(r.nexthop), r.metric);
     else
-        rib_->delete_route(r.net);
+        delta.del(r.net);
+    rib_->push_batch("rip", std::move(delta));
     schedule_triggered();
 }
 

@@ -8,8 +8,8 @@
 //     immediately, and nothing waits for the 30-second periodic timer
 //     except the periodic full advertisement RFC 2453 requires.
 //
-// Learned routes feed the RIB through the RibClient coupling ("rip"
-// protocol, admin distance 120 by default).
+// Learned routes feed the RIB through a rib::RibClient ("rip" protocol,
+// admin distance 120 by default), each change as a one-entry batch.
 #ifndef XRP_RIP_RIP_HPP
 #define XRP_RIP_RIP_HPP
 
@@ -17,40 +17,10 @@
 #include <set>
 
 #include "fea/fea.hpp"
-#include "rib/rib.hpp"
+#include "rib/rib_client.hpp"
 #include "rip/routedb.hpp"
 
 namespace xrp::rip {
-
-// Coupling to the RIB (abstract for standalone tests).
-class RibClient {
-public:
-    virtual ~RibClient() = default;
-    virtual void add_route(const net::IPv4Net& net, net::IPv4 nexthop,
-                           uint32_t metric) = 0;
-    virtual void delete_route(const net::IPv4Net& net) = 0;
-};
-
-class NullRibClient final : public RibClient {
-public:
-    void add_route(const net::IPv4Net&, net::IPv4, uint32_t) override {}
-    void delete_route(const net::IPv4Net&) override {}
-};
-
-class DirectRibClient final : public RibClient {
-public:
-    explicit DirectRibClient(rib::Rib& rib) : rib_(rib) {}
-    void add_route(const net::IPv4Net& net, net::IPv4 nexthop,
-                   uint32_t metric) override {
-        rib_.add_route("rip", net, nexthop, metric);
-    }
-    void delete_route(const net::IPv4Net& net) override {
-        rib_.delete_route("rip", net);
-    }
-
-private:
-    rib::Rib& rib_;
-};
 
 class RipProcess {
 public:
@@ -65,7 +35,7 @@ public:
     };
 
     RipProcess(ev::EventLoop& loop, fea::Fea& fea, Config config,
-               std::unique_ptr<RibClient> rib = nullptr);
+               std::unique_ptr<rib::RibClient> rib = nullptr);
     // Defaults-everything convenience (defined out of class: in-class
     // default args may not use Config's member initializers).
     RipProcess(ev::EventLoop& loop, fea::Fea& fea);
@@ -113,7 +83,7 @@ private:
     ev::EventLoop& loop_;
     fea::Fea& fea_;
     Config config_;
-    std::unique_ptr<RibClient> rib_;
+    std::unique_ptr<rib::RibClient> rib_;
     RouteDb db_;
     std::set<std::string> enabled_;
     int sock_ = 0;

@@ -49,9 +49,9 @@
 #include "ospf/ospf.hpp"
 #include "ospf/ospf_xrl.hpp"
 #include "rib/rib.hpp"
+#include "rib/rib_client.hpp"
 #include "rib/rib_xrl.hpp"
 #include "rip/rip.hpp"
-#include "rip/rip_xrl.hpp"
 #include "sim/routefeed.hpp"
 #include "stage/batch.hpp"
 
@@ -92,6 +92,7 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
                           .with_deadline(std::chrono::seconds(60))
                           .with_attempt_timeout(std::chrono::seconds(5))
                           .with_attempts(64);
+    rib::XrlRibClient to_rib(xr);
 
     // The ebgp routes all name 192.0.2.1 as their nexthop, and the RIB's
     // ExtInt stage parks external routes until an internal route covers
@@ -99,50 +100,36 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
     // in-process harnesses do. An identical re-add after restart/upgrade
     // is an idempotent refresh.
     {
-        ++state->batches_total;
-        xrl::XrlArgs args;
-        args.add("protocol", std::string("static"))
-            .add("net", net::IPv4Net(net::IPv4((192u << 24) | (2 << 8)), 24))
-            .add("nexthop", nexthop)
-            .add("metric", uint32_t{1});
-        xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_route",
-                                  std::move(args)),
-                opts, [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
-                    if (!err.ok())
-                        fprintf(stderr, "feed: static cover failed: %s\n",
-                                err.str().c_str());
-                    ++state->batches_acked;
-                });
+        stage::RouteBatch4 cover;
+        cover.add(net::IPv4Net(net::IPv4((192u << 24) | (2 << 8)), 24),
+                  net::NexthopSet4::single(nexthop), 1);
+        state->batches_total += to_rib.push_batch(
+            "static", std::move(cover), opts,
+            [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
+                if (!err.ok())
+                    fprintf(stderr, "feed: static cover failed: %s\n",
+                            err.str().c_str());
+                ++state->batches_acked;
+            });
     }
 
     for (size_t base = 0; base < prefixes.size(); base += kChunk) {
         stage::RouteBatch4 batch;
         const size_t end = std::min(base + kChunk, prefixes.size());
         batch.reserve(end - base);
-        for (size_t i = base; i < end; ++i) {
-            stage::Route4 r;
-            r.net = prefixes[i];
-            r.nexthop = nexthop;
-            r.metric = 10;
-            r.protocol = "ebgp";
-            batch.add(std::move(r));
-        }
-        ++state->batches_total;
-        xrl::XrlArgs args;
-        args.add("protocol", std::string("ebgp"))
-            .add("routes", batch.encode_bytes());
-        xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_routes_bulk",
-                                  std::move(args)),
-                opts,
-                [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
-                    if (!err.ok())
-                        fprintf(stderr, "feed batch failed: %s\n",
-                                err.str().c_str());
-                    ++state->batches_acked;
-                    if (state->done())
-                        fprintf(stderr, "feed complete: %zu batches\n",
-                                state->batches_total);
-                });
+        for (size_t i = base; i < end; ++i)
+            batch.add(prefixes[i], net::NexthopSet4::single(nexthop), 10);
+        state->batches_total += to_rib.push_batch(
+            "ebgp", std::move(batch), opts,
+            [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
+                if (!err.ok())
+                    fprintf(stderr, "feed batch failed: %s\n",
+                            err.str().c_str());
+                ++state->batches_acked;
+                if (state->done())
+                    fprintf(stderr, "feed complete: %zu batches\n",
+                            state->batches_total);
+            });
     }
 }
 
@@ -251,12 +238,12 @@ int main(int argc, char** argv) {
         private_fea = std::make_unique<fea::Fea>(loop);
         rip = std::make_unique<rip::RipProcess>(
             loop, *private_fea, rip::RipProcess::Config{},
-            std::make_unique<rip::XrlRibClient>(xr));
+            std::make_unique<rib::XrlRibClient>(xr));
     } else if (cls == "ospf") {
         private_fea = std::make_unique<fea::Fea>(loop);
         ospf = std::make_unique<ospf::OspfProcess>(
             loop, *private_fea, ospf::OspfProcess::Config{},
-            std::make_unique<ospf::XrlRibClient>(xr));
+            std::make_unique<rib::XrlRibClient>(xr));
         ospf->set_node(node);
         ospf::bind_ospf_xrl(*ospf, xr);
     } else {

@@ -30,13 +30,13 @@ Router::Router(std::string name, ev::EventLoop& loop)
     rip_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rip", true);
     rip_ = std::make_unique<rip::RipProcess>(
         plexus_.loop, *fea_, rip::RipProcess::Config{},
-        std::make_unique<rip::XrlRibClient>(*rip_xr_));
+        std::make_unique<rib::XrlRibClient>(*rip_xr_));
     rip_xr_->finalize();
 
     ospf_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "ospf", true);
     ospf_ = std::make_unique<ospf::OspfProcess>(
         plexus_.loop, *fea_, ospf::OspfProcess::Config{},
-        std::make_unique<ospf::XrlRibClient>(*ospf_xr_));
+        std::make_unique<rib::XrlRibClient>(*ospf_xr_));
     ospf_->set_node(name_);
     ospf::bind_ospf_xrl(*ospf_, *ospf_xr_);
     ospf_xr_->finalize();
@@ -212,8 +212,14 @@ bool Router::validate(const ConfigTree& tree, std::string* error) const {
 }
 
 bool Router::apply(const ConfigTree& tree, std::string* error) {
+    // Config-driven route pushes go to the RIB as one batch per origin per
+    // commit. They are idempotent, so the reliable contract may retry them
+    // and one dropped XRL can't desync the RIB from the running config.
+    rib::XrlRibClient to_rib(*mgr_xr_);
+
     // ---- interfaces (additive) ----------------------------------------
     if (const ConfigNode* ifs = tree.find("interfaces")) {
+        stage::RouteBatch4 connected;
         for (const ConfigNode& itf : ifs->children) {
             if (fea_->interfaces().find(itf.name) != nullptr) continue;
             IPv4Net addr = IPv4Net::must_parse(*itf.leaf_value("address"));
@@ -225,21 +231,13 @@ bool Router::apply(const ConfigTree& tree, std::string* error) {
                                              addr.prefix_len());
             // A configured interface originates its connected route; this
             // is what makes directly-attached BGP nexthops resolvable.
-            XrlArgs args;
-            args.add("protocol", std::string("connected"))
-                .add("net", addr)
-                .add("nexthop", host)
-                .add("metric", uint32_t{0});
-            // Config-driven route pushes are idempotent; let the call
-            // contract retry them so one dropped XRL can't desync the RIB
-            // from the running config.
-            mgr_xr_->call_oneway(
-                Xrl::generic("rib", "rib", "1.0", "add_route", args),
-                ipc::CallOptions::reliable());
+            connected.add(addr, net::NexthopSet4::single(host), 0);
         }
+        if (!connected.empty())
+            to_rib.push_batch("connected", std::move(connected));
     }
 
-    // ---- static routes (diffed, applied via XRLs to the RIB) ------------
+    // ---- static routes (diffed, one batch to the RIB) -------------------
     auto collect_static = [](const ConfigTree& t) {
         std::map<IPv4Net, IPv4> out;
         if (const ConfigNode* s = t.find("protocols/static"))
@@ -250,29 +248,17 @@ bool Router::apply(const ConfigTree& tree, std::string* error) {
     };
     auto old_static = collect_static(running_);
     auto new_static = collect_static(tree);
+    stage::RouteBatch4 statics;
     for (const auto& [net, nh] : old_static) {
         auto it = new_static.find(net);
-        if (it == new_static.end() || !(it->second == nh)) {
-            XrlArgs args;
-            args.add("protocol", std::string("static")).add("net", net);
-            mgr_xr_->call_oneway(
-                Xrl::generic("rib", "rib", "1.0", "delete_route", args),
-                ipc::CallOptions::reliable());
-        }
+        if (it == new_static.end() || !(it->second == nh)) statics.del(net);
     }
     for (const auto& [net, nh] : new_static) {
         auto it = old_static.find(net);
-        if (it == old_static.end() || !(it->second == nh)) {
-            XrlArgs args;
-            args.add("protocol", std::string("static"))
-                .add("net", net)
-                .add("nexthop", nh)
-                .add("metric", uint32_t{1});
-            mgr_xr_->call_oneway(
-                Xrl::generic("rib", "rib", "1.0", "add_route", args),
-                ipc::CallOptions::reliable());
-        }
+        if (it == old_static.end() || !(it->second == nh))
+            statics.add(net, net::NexthopSet4::single(nh), 1);
     }
+    if (!statics.empty()) to_rib.push_batch("static", std::move(statics));
 
     // ---- RIP interfaces (diffed) ----------------------------------------
     auto old_rip = rip_interfaces(running_);
@@ -440,7 +426,7 @@ void Router::restart_rip() {
     rip_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rip", true);
     rip_ = std::make_unique<rip::RipProcess>(
         plexus_.loop, *fea_, rip::RipProcess::Config{},
-        std::make_unique<rip::XrlRibClient>(*rip_xr_));
+        std::make_unique<rib::XrlRibClient>(*rip_xr_));
     rip_xr_->finalize();
     // Re-apply the running config; each enable sends a whole-table
     // request — RIP's natural resync.
@@ -454,7 +440,7 @@ void Router::restart_ospf() {
     ospf_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "ospf", true);
     ospf_ = std::make_unique<ospf::OspfProcess>(
         plexus_.loop, *fea_, ospf::OspfProcess::Config{},
-        std::make_unique<ospf::XrlRibClient>(*ospf_xr_));
+        std::make_unique<rib::XrlRibClient>(*ospf_xr_));
     ospf_->set_node(name_);
     ospf::bind_ospf_xrl(*ospf_, *ospf_xr_);
     ospf_xr_->finalize();

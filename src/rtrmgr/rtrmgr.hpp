@@ -23,9 +23,9 @@
 #include "ospf/ospf.hpp"
 #include "ospf/ospf_xrl.hpp"
 #include "rib/rib.hpp"
+#include "rib/rib_client.hpp"
 #include "rib/rib_xrl.hpp"
 #include "rip/rip.hpp"
-#include "rip/rip_xrl.hpp"
 #include "rtrmgr/configtree.hpp"
 #include "rtrmgr/supervisor.hpp"
 

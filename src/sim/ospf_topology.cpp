@@ -25,7 +25,7 @@ size_t OspfTopology::add_router() {
     cfg.router_id = n->router_id;
     n->ospf = std::make_unique<ospf::OspfProcess>(
         loop_, *n->fea, cfg,
-        std::make_unique<ospf::DirectRibClient>(*n->rib));
+        std::make_unique<rib::DirectRibClient>(*n->rib));
     n->ospf->set_node(node);
     nodes_.push_back(std::move(n));
     return idx;

@@ -89,6 +89,21 @@ public:
     void del(RouteT route) {
         entries_.push_back(EntryT{BatchOp::kDelete, std::move(route), {}});
     }
+    // The same entries spelled as the wire carries them: a prefix, its
+    // member set and metric for an add, the prefix alone for a delete.
+    void add(const net::IpNet<A>& net, const net::NexthopSet<A>& nexthops,
+             uint32_t metric) {
+        RouteT r;
+        r.net = net;
+        r.set_nexthops(nexthops);
+        r.metric = metric;
+        add(std::move(r));
+    }
+    void del(const net::IpNet<A>& net) {
+        RouteT r;
+        r.net = net;
+        del(std::move(r));
+    }
     void replace(RouteT old_route, RouteT new_route) {
         entries_.push_back(
             EntryT{BatchOp::kReplace, std::move(new_route),

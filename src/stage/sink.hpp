@@ -19,8 +19,10 @@ public:
     using typename RouteStage<A>::RouteT;
     using typename RouteStage<A>::Net;
     using ChangeCallback = std::function<void(bool is_add, const RouteT&)>;
-    // Batch-aware consumers (the RIB's FEA feed) install this to receive
-    // whole deltas; without it a batch degrades to per-entry cb_ calls.
+    // Batch-aware consumers (BGP's RIB feed, the RIB's FEA feed) install
+    // this to receive every change as a delta: a lone add or delete
+    // arrives as a one-entry batch. Without it a batch degrades to
+    // per-entry cb_ calls.
     using BatchCallback = std::function<void(RouteBatch<A>&&)>;
 
     explicit SinkStage(std::string name, ChangeCallback cb = nullptr)
@@ -32,14 +34,26 @@ public:
         this->stage_metrics().adds->inc();
         table_.insert(route.net, route);
         this->routes_gauge()->set(static_cast<int64_t>(table_.size()));
-        if (cb_) cb_(true, route);
+        if (batch_cb_) {
+            RouteBatch<A> b;
+            b.add(route);
+            batch_cb_(std::move(b));
+        } else if (cb_) {
+            cb_(true, route);
+        }
     }
 
     void delete_route(const RouteT& route, RouteStage<A>*) override {
         this->stage_metrics().deletes->inc();
         table_.erase(route.net);
         this->routes_gauge()->set(static_cast<int64_t>(table_.size()));
-        if (cb_) cb_(false, route);
+        if (batch_cb_) {
+            RouteBatch<A> b;
+            b.del(route);
+            batch_cb_(std::move(b));
+        } else if (cb_) {
+            cb_(false, route);
+        }
     }
 
     void push_batch(RouteBatch<A>&& batch, RouteStage<A>*) override {

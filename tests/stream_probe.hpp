@@ -19,25 +19,43 @@ struct StreamProbe {
     size_t batches = 0;
     size_t scalars = 0;
     std::vector<std::pair<bool, RouteT>> stream;  // (is_add, route)
-    stage::SinkStage<A> sink{"probe", [this](bool is_add, const RouteT& r) {
-                                 ++scalars;
-                                 stream.emplace_back(is_add, r);
-                             }};
 
-    StreamProbe() {
-        sink.set_batch_callback([this](stage::RouteBatch<A>&& b) {
-            ++batches;
-            for (const auto& e : b.entries()) {
-                if (e.op == stage::BatchOp::kReplace) {
-                    stream.emplace_back(false, e.old_route);
-                    stream.emplace_back(true, e.route);
-                } else {
-                    stream.emplace_back(e.op == stage::BatchOp::kAdd,
-                                        e.route);
+    // SinkStage hands a lone add or delete on as a one-entry batch; this
+    // sink counts those arrivals as scalars before it does.
+    class Sink final : public stage::SinkStage<A> {
+    public:
+        explicit Sink(StreamProbe& p) : stage::SinkStage<A>("probe"), p_(p) {
+            this->set_batch_callback([this](stage::RouteBatch<A>&& b) {
+                if (!std::exchange(p_.in_scalar_, false)) ++p_.batches;
+                for (const auto& e : b.entries()) {
+                    if (e.op == stage::BatchOp::kReplace) {
+                        p_.stream.emplace_back(false, e.old_route);
+                        p_.stream.emplace_back(true, e.route);
+                    } else {
+                        p_.stream.emplace_back(e.op == stage::BatchOp::kAdd,
+                                               e.route);
+                    }
                 }
-            }
-        });
-    }
+            });
+        }
+        void add_route(const RouteT& r, stage::RouteStage<A>* from) override {
+            ++p_.scalars;
+            p_.in_scalar_ = true;
+            stage::SinkStage<A>::add_route(r, from);
+        }
+        void delete_route(const RouteT& r,
+                          stage::RouteStage<A>* from) override {
+            ++p_.scalars;
+            p_.in_scalar_ = true;
+            stage::SinkStage<A>::delete_route(r, from);
+        }
+
+    private:
+        StreamProbe& p_;
+    };
+    Sink sink{*this};
+
+    StreamProbe() = default;
     StreamProbe(const StreamProbe&) = delete;
     StreamProbe& operator=(const StreamProbe&) = delete;
 
@@ -46,6 +64,9 @@ struct StreamProbe {
         scalars = 0;
         stream.clear();
     }
+
+private:
+    bool in_scalar_ = false;
 };
 
 }  // namespace xrp::tests

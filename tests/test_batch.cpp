@@ -1104,8 +1104,11 @@ struct BgpRibFea {
     }
 };
 
-constexpr const char* kRibScalarAdd = "rib/1.0/add_route_multipath";
-constexpr const char* kRibScalarDelete = "rib/1.0/delete_route";
+// The scripting pair: no in-tree sender uses it.
+constexpr const char* kRibTextAdd = "rib/1.0/add_route";
+constexpr const char* kRibTextDelete = "rib/1.0/delete_route";
+constexpr const char* kFeaTextAdd = "fea/1.0/add_route4";
+constexpr const char* kFeaTextDelete = "fea/1.0/delete_route4";
 constexpr const char* kRibBulk = "rib/1.0/add_routes_bulk";
 constexpr const char* kFeaBulk = "fea/1.0/add_routes4_bulk";
 
@@ -1114,7 +1117,7 @@ constexpr const char* kFeaBulk = "fea/1.0/add_routes4_bulk";
 TEST(BulkXrl, ParkedFullLoadCrossesEachHopInBulk) {
     BgpRibFea s;
     ASSERT_TRUE(s.feed->established());
-    const uint64_t scalar0 = BgpRibFea::calls(kRibScalarAdd);
+    const uint64_t scalar0 = BgpRibFea::calls(kRibTextAdd);
     const uint64_t rib0 = BgpRibFea::calls(kRibBulk);
     const uint64_t fea0 = BgpRibFea::calls(kFeaBulk);
 
@@ -1129,9 +1132,42 @@ TEST(BulkXrl, ParkedFullLoadCrossesEachHopInBulk) {
     }
 
     const uint64_t chunks = (n + 8191) / 8192;
-    EXPECT_EQ(BgpRibFea::calls(kRibScalarAdd) - scalar0, 0u);
+    EXPECT_EQ(BgpRibFea::calls(kRibTextAdd) - scalar0, 0u);
     EXPECT_LE(BgpRibFea::calls(kRibBulk) - rib0, chunks);
     EXPECT_LE(BgpRibFea::calls(kFeaBulk) - fea0, chunks);
+}
+
+// The churn shape: a one-prefix UPDATE, then its withdrawal. Each is a
+// one-route delta at both hops and crosses each as exactly one bulk XRL.
+TEST(BulkXrl, SinglePrefixUpdateCrossesEachHopAsOneBulkXrl) {
+    BgpRibFea s;
+    ASSERT_TRUE(s.feed->established());
+    auto text_calls = [] {
+        return BgpRibFea::calls(kRibTextAdd) +
+               BgpRibFea::calls(kRibTextDelete) +
+               BgpRibFea::calls(kFeaTextAdd) +
+               BgpRibFea::calls(kFeaTextDelete);
+    };
+    const uint64_t text0 = text_calls();
+    uint64_t rib0 = BgpRibFea::calls(kRibBulk);
+    uint64_t fea0 = BgpRibFea::calls(kFeaBulk);
+
+    const auto nets = s.load(1);
+    ASSERT_EQ(nets.size(), 1u);
+    ASSERT_EQ(s.fea.fib().size(), 2u);
+    EXPECT_EQ(BgpRibFea::calls(kRibBulk) - rib0, 1u);
+    EXPECT_EQ(BgpRibFea::calls(kFeaBulk) - fea0, 1u);
+
+    rib0 = BgpRibFea::calls(kRibBulk);
+    fea0 = BgpRibFea::calls(kFeaBulk);
+    bgp::UpdateMessage withdraw;
+    withdraw.withdrawn.push_back(nets[0]);
+    s.feed->send(withdraw);
+    s.plexus.loop.run_until([&] { return s.fea.fib().size() == 1; }, 10s);
+    ASSERT_EQ(s.fea.fib().find_exact(nets[0]), nullptr);
+    EXPECT_EQ(BgpRibFea::calls(kRibBulk) - rib0, 1u);
+    EXPECT_EQ(BgpRibFea::calls(kFeaBulk) - fea0, 1u);
+    EXPECT_EQ(text_calls() - text0, 0u);
 }
 
 TEST(BulkXrl, PeerDownReachesTheRibAsOneBulkXrlPerSlice) {
@@ -1141,7 +1177,7 @@ TEST(BulkXrl, PeerDownReachesTheRibAsOneBulkXrlPerSlice) {
     ASSERT_EQ(s.load(n).size(), n);
     ASSERT_EQ(s.fea.fib().size(), n + 1);
 
-    const uint64_t scalar0 = BgpRibFea::calls(kRibScalarDelete);
+    const uint64_t scalar0 = BgpRibFea::calls(kRibTextDelete);
     const uint64_t rib0 = BgpRibFea::calls(kRibBulk);
     s.feed->session().stop();  // Cease: BGP hands the table to a DeletionStage
     s.plexus.loop.run_until([&] { return s.fea.fib().size() == 1; }, 30s);
@@ -1152,6 +1188,254 @@ TEST(BulkXrl, PeerDownReachesTheRibAsOneBulkXrlPerSlice) {
     const size_t slices =
         (n + s.bgp->config().routes_per_slice - 1) /
         s.bgp->config().routes_per_slice;
-    EXPECT_EQ(BgpRibFea::calls(kRibScalarDelete) - scalar0, 0u);
+    EXPECT_EQ(BgpRibFea::calls(kRibTextDelete) - scalar0, 0u);
     EXPECT_LE(BgpRibFea::calls(kRibBulk) - rib0, slices);
+}
+
+// ---- the scripting pair against the bulk verb ---------------------------
+//
+// rib/1.0/add_route + delete_route and fea/1.0/add_route4 + delete_route4
+// exist for scripts (call_xrl). Over real XrlRouters they must leave the
+// same RIB winners, FIB and journal as the same change sent in bulk.
+
+namespace {
+
+// One route change as a script would type it.
+struct ScriptStep {
+    const char* protocol;
+    const char* net;
+    const char* nexthop;  // nullptr: a delete
+    uint32_t metric;
+};
+
+// FEA and RIB behind their own XrlRouters, reached by a script client.
+// Whatever the components record while this stack's loop runs goes to
+// its private journal.
+struct ScriptedStack {
+    ev::RealClock clock;
+    ipc::Plexus plexus{clock};
+    fea::Fea fea{plexus.loop};
+    ipc::XrlRouter fea_router{plexus, "fea", true};
+    ipc::XrlRouter rib_router{plexus, "rib", true};
+    rib::Rib rib{plexus.loop, std::make_unique<rib::XrlFeaHandle>(rib_router)};
+    ipc::XrlRouter cli{plexus, "cli"};
+    telemetry::Journal journal;
+
+    ScriptedStack() {
+        fea.interfaces().add_interface("eth0", IPv4::must_parse("192.0.2.1"),
+                                       24);
+        fea::bind_fea_xrl(fea, fea_router);
+        EXPECT_TRUE(fea_router.finalize());
+        rib::bind_rib_xrl(rib, rib_router);
+        EXPECT_TRUE(rib_router.finalize());
+        journal.set_enabled(true);
+    }
+
+    // Runs `fn` with this stack's journal installed for the thread.
+    template <class Fn>
+    auto recording(Fn&& fn) {
+        struct Scope {
+            telemetry::Journal* prev;
+            ~Scope() { telemetry::Journal::set_thread_override(prev); }
+        } scope{telemetry::Journal::set_thread_override(&journal)};
+        return fn();
+    }
+
+    bool run_until(const std::function<bool()>& pred) {
+        return recording([&] {
+            const bool ok = plexus.loop.run_until(pred, 5s);
+            plexus.loop.run_for(20ms);
+            return ok;
+        });
+    }
+
+    // Calls one XRL and waits for its reply.
+    xrl::XrlError call(const char* target, const char* method,
+                       xrl::XrlArgs args) {
+        std::optional<xrl::XrlError> err;
+        recording([&] {
+            cli.call(xrl::Xrl::generic(target, target, "1.0", method,
+                                       std::move(args)),
+                     ipc::CallOptions::defaults(),
+                     [&](const xrl::XrlError& e, const xrl::XrlArgs&) {
+                         err = e;
+                     });
+        });
+        run_until([&] { return err.has_value(); });
+        return err.value_or(xrl::XrlError(xrl::ErrorCode::kTimeout));
+    }
+
+    // Waits until the FIB holds exactly the RIB's winners; the RIB's
+    // one-way pushes to the FEA are FIFO, so nothing is left in flight.
+    void settle() {
+        auto synced = [&] {
+            if (fea.fib().size() != rib.route_count()) return false;
+            bool same = true;
+            fea.fib().for_each([&](const IPv4Net& net, const fea::FibEntry& e) {
+                auto w = rib.lookup_exact(net);
+                if (!w || w->nexthop != e.nexthop) same = false;
+            });
+            return same;
+        };
+        EXPECT_TRUE(run_until(synced));
+    }
+
+    std::map<IPv4Net, std::pair<IPv4, std::string>> winners() const {
+        std::map<IPv4Net, std::pair<IPv4, std::string>> out;
+        fea.fib().for_each([&](const IPv4Net& net, const fea::FibEntry&) {
+            auto w = rib.lookup_exact(net);
+            out[net] = {w->nexthop, w->protocol};
+        });
+        return out;
+    }
+    std::map<IPv4Net, IPv4> fib() const {
+        std::map<IPv4Net, IPv4> out;
+        fea.fib().for_each([&](const IPv4Net& net, const fea::FibEntry& e) {
+            out[net] = e.nexthop;
+        });
+        return out;
+    }
+    // The events the route verbs leave, RIB side then FEA side: FEA
+    // events arrive asynchronously, so the two streams are compared
+    // separately.
+    std::vector<std::string> events(bool fea_side) const {
+        std::vector<std::string> out;
+        for (const auto& ev : journal.events()) {
+            const bool is_fea = ev.kind == telemetry::JournalKind::kFibAdd ||
+                                ev.kind == telemetry::JournalKind::kFibDelete;
+            const bool is_rib =
+                ev.kind == telemetry::JournalKind::kRouteInstall ||
+                ev.kind == telemetry::JournalKind::kRouteWithdraw;
+            if (fea_side ? is_fea : is_rib)
+                out.push_back(std::string(telemetry::journal_kind_name(ev.kind)) +
+                              " " + ev.subject + " " + ev.detail + " " +
+                              std::to_string(ev.value));
+        }
+        return out;
+    }
+};
+
+xrl::XrlArgs text_args(const ScriptStep& s) {
+    xrl::XrlArgs a;
+    a.add("protocol", std::string(s.protocol))
+        .add("net", IPv4Net::must_parse(s.net));
+    if (s.nexthop != nullptr)
+        a.add("nexthop", IPv4::must_parse(s.nexthop)).add("metric", s.metric);
+    return a;
+}
+
+void add_step(RouteBatch4& b, const ScriptStep& s) {
+    if (s.nexthop != nullptr)
+        b.add(IPv4Net::must_parse(s.net),
+              net::NexthopSet4::single(IPv4::must_parse(s.nexthop)), s.metric);
+    else
+        b.del(IPv4Net::must_parse(s.net));
+}
+
+}  // namespace
+
+TEST(ScriptingPair, RibTextVerbsMatchTheBulkVerb) {
+    // Winners move across origins: rip under ospf, static over ospf, an
+    // ebgp route resolving through an IGP winner, deletes that hand a
+    // prefix back to the loser.
+    const std::vector<ScriptStep> script = {
+        {"static", "10.0.0.0/8", "192.0.2.2", 1},
+        {"static", "10.3.0.0/16", "192.0.2.7", 1},
+        {"ospf", "10.1.0.0/16", "192.0.2.3", 20},
+        {"ospf", "10.2.0.0/16", "192.0.2.5", 5},
+        {"rip", "10.1.0.0/16", "192.0.2.4", 2},
+        {"static", "10.2.0.0/16", "192.0.2.6", 1},
+        {"ospf", "10.1.0.0/16", nullptr, 0},
+        {"ebgp", "172.16.0.0/12", "10.2.0.9", 0},
+        {"static", "10.0.0.0/8", nullptr, 0},
+        {"static", "10.3.0.0/16", nullptr, 0},
+    };
+
+    ScriptedStack text;
+    for (const ScriptStep& s : script) {
+        const char* verb = s.nexthop != nullptr ? "add_route" : "delete_route";
+        EXPECT_TRUE(text.call("rib", verb, text_args(s)).ok()) << s.net;
+    }
+    text.settle();
+
+    // The same change in bulk: one add_routes_bulk per run of steps from
+    // one protocol.
+    ScriptedStack bulk;
+    for (size_t i = 0; i < script.size();) {
+        RouteBatch4 b;
+        size_t j = i;
+        for (; j < script.size() &&
+               std::string(script[j].protocol) == script[i].protocol;
+             ++j)
+            add_step(b, script[j]);
+        xrl::XrlArgs a;
+        a.add("protocol", std::string(script[i].protocol))
+            .add("routes", b.encode_bytes());
+        EXPECT_TRUE(bulk.call("rib", "add_routes_bulk", std::move(a)).ok());
+        i = j;
+    }
+    bulk.settle();
+
+    ASSERT_EQ(text.fib().size(), 3u);  // 10.1/16 rip, 10.2/16, 172.16/12
+    EXPECT_EQ(text.winners().at(IPv4Net::must_parse("10.1.0.0/16")).second,
+              "rip");
+    EXPECT_EQ(text.winners(), bulk.winners());
+    EXPECT_EQ(text.fib(), bulk.fib());
+    EXPECT_FALSE(text.events(false).empty());
+    EXPECT_EQ(text.events(false), bulk.events(false));
+    EXPECT_FALSE(text.events(true).empty());
+    EXPECT_EQ(text.events(true), bulk.events(true));
+
+    // An unknown protocol still fails the call, in either form.
+    const xrl::XrlError bad = text.call(
+        "rib", "add_route", text_args({"isis", "10.9.0.0/16", "192.0.2.2", 1}));
+    EXPECT_EQ(bad.code(), xrl::ErrorCode::kCommandFailed);
+    RouteBatch4 b;
+    add_step(b, {"isis", "10.9.0.0/16", "192.0.2.2", 1});
+    xrl::XrlArgs a;
+    a.add("protocol", std::string("isis")).add("routes", b.encode_bytes());
+    EXPECT_EQ(bulk.call("rib", "add_routes_bulk", std::move(a)).code(),
+              xrl::ErrorCode::kCommandFailed);
+}
+
+TEST(ScriptingPair, FeaTextVerbsMatchTheBulkVerb) {
+    const std::vector<ScriptStep> script = {
+        {"", "198.51.100.0/24", "192.0.2.2", 0},
+        {"", "203.0.113.0/24", "192.0.2.3", 0},
+        {"", "198.51.100.0/24", "192.0.2.4", 0},
+        {"", "203.0.113.0/24", nullptr, 0},
+    };
+    ScriptedStack text, bulk;
+    RouteBatch4 b;
+    for (const ScriptStep& s : script) {
+        xrl::XrlArgs a;
+        a.add("net", IPv4Net::must_parse(s.net));
+        if (s.nexthop != nullptr) a.add("nexthop", IPv4::must_parse(s.nexthop));
+        EXPECT_TRUE(text.call("fea",
+                              s.nexthop != nullptr ? "add_route4"
+                                                   : "delete_route4",
+                              std::move(a))
+                        .ok())
+            << s.net;
+        add_step(b, s);
+    }
+    xrl::XrlArgs a;
+    a.add("routes", b.encode_bytes());
+    EXPECT_TRUE(bulk.call("fea", "add_routes4_bulk", std::move(a)).ok());
+
+    EXPECT_EQ(text.fib(), (std::map<IPv4Net, IPv4>{
+                              {IPv4Net::must_parse("198.51.100.0/24"),
+                               IPv4::must_parse("192.0.2.4")}}));
+    EXPECT_EQ(text.fib(), bulk.fib());
+    EXPECT_EQ(text.fea.fib_adds(), bulk.fea.fib_adds());
+    EXPECT_EQ(text.fea.fib_deletes(), bulk.fea.fib_deletes());
+    EXPECT_EQ(text.events(true).size(), 4u);
+    EXPECT_EQ(text.events(true), bulk.events(true));
+
+    // Deleting an absent prefix still answers "no such route".
+    xrl::XrlArgs gone;
+    gone.add("net", IPv4Net::must_parse("203.0.113.0/24"));
+    const xrl::XrlError err = text.call("fea", "delete_route4", std::move(gone));
+    EXPECT_EQ(err.code(), xrl::ErrorCode::kCommandFailed);
+    EXPECT_EQ(err.note(), "no such route");
 }

@@ -344,8 +344,7 @@ TEST(BgpProcess, NexthopResolverAnnotatesIgpMetric) {
     // everything else.
     class FakeRib final : public RibHandle {
     public:
-        void add_route(const BgpRoute&) override {}
-        void delete_route(const BgpRoute&) override {}
+        void push_batch(stage::RouteBatch4&&) override {}
         void register_interest(
             IPv4 nexthop,
             NexthopResolverStage::AnswerCallback answer) override {
@@ -385,8 +384,7 @@ TEST(BgpProcess, HotPotatoPrefersNearerExit) {
     public:
         std::map<uint32_t, uint32_t> metric_by_nexthop;
         std::function<void(const net::IPv4Net&)>* invalidate_hook = nullptr;
-        void add_route(const BgpRoute&) override {}
-        void delete_route(const BgpRoute&) override {}
+        void push_batch(stage::RouteBatch4&&) override {}
         void register_interest(
             IPv4 nexthop,
             NexthopResolverStage::AnswerCallback answer) override {

@@ -1213,8 +1213,8 @@ namespace {
 
 using RibView = std::map<IPv4Net, std::pair<net::NexthopSet4, uint32_t>>;
 
-// Every RIB call an OspfProcess makes, and the RIB-side view they add up
-// to (add replaces, delete removes).
+// Every RIB change an OspfProcess sends, and the RIB-side view they add
+// up to (add replaces, delete removes).
 struct RibLog {
     struct Call {
         bool add = false;
@@ -1225,23 +1225,28 @@ struct RibLog {
     std::vector<Call> calls;
     RibView view;
     size_t stray_deletes = 0;  // deletes of prefixes never added
+    size_t batches = 0;        // push_batch calls (one per SPF run)
 };
 
-class CapturingRib final : public RibClient {
+class CapturingRib final : public rib::RibClient {
 public:
     explicit CapturingRib(RibLog& log) : log_(log) {}
-    void add_route(const IPv4Net& net, IPv4 nexthop,
-                   uint32_t metric) override {
-        add_route(net, net::NexthopSet4::single(nexthop), metric);
-    }
-    void add_route(const IPv4Net& net, const net::NexthopSet4& nexthops,
-                   uint32_t metric) override {
-        log_.calls.push_back({true, net, nexthops, metric});
-        log_.view[net] = {nexthops, metric};
-    }
-    void delete_route(const IPv4Net& net) override {
-        log_.calls.push_back({false, net, {}, 0});
-        if (log_.view.erase(net) == 0) ++log_.stray_deletes;
+    void push_batch(const std::string& protocol,
+                    stage::RouteBatch4&& batch) override {
+        EXPECT_EQ(protocol, "ospf");
+        ++log_.batches;
+        for (const auto& e : batch.entries()) {
+            ASSERT_NE(e.op, stage::BatchOp::kReplace);
+            if (e.op == stage::BatchOp::kAdd) {
+                log_.calls.push_back(
+                    {true, e.route.net, e.route.nexthop_set(), e.route.metric});
+                log_.view[e.route.net] = {e.route.nexthop_set(),
+                                          e.route.metric};
+            } else {
+                log_.calls.push_back({false, e.route.net, {}, 0});
+                if (log_.view.erase(e.route.net) == 0) ++log_.stray_deletes;
+            }
+        }
     }
 
 private:
@@ -1293,9 +1298,11 @@ TEST(OspfProcess, FarStubMetricChangeIsOneRibAdd) {
     const uint32_t cost = log.view.at(stub3).second;
 
     log.calls.clear();
+    log.batches = 0;
     ASSERT_TRUE(f.topo.node(3).ospf->set_interface_cost(
         f.topo.segment(3).ifname, 7));
     f.loop.run_for(30s);
+    EXPECT_EQ(log.batches, 1u);
     ASSERT_EQ(log.calls.size(), 1u);
     EXPECT_TRUE(log.calls[0].add);
     EXPECT_EQ(log.calls[0].net, stub3);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "rip/rip.hpp"
-#include "staticroutes/staticroutes.hpp"
 
 using namespace xrp;
 using namespace xrp::rip;
@@ -163,7 +162,7 @@ struct RipChain {
                 loop, std::make_unique<rib::DirectFeaHandle>(*feas.back())));
             rips.push_back(std::make_unique<RipProcess>(
                 loop, *feas[static_cast<size_t>(i)], cfg,
-                std::make_unique<DirectRibClient>(*ribs.back())));
+                std::make_unique<rib::DirectRibClient>(*ribs.back())));
         }
         for (int l = 0; l < n - 1; ++l) {
             int link = network.add_link();
@@ -309,17 +308,4 @@ TEST(RipProtocol, SplitHorizonPoisonsReverse) {
     ASSERT_NE(r, nullptr);
     EXPECT_TRUE(r->permanent);
     EXPECT_EQ(r->metric, 1u);
-}
-
-TEST(StaticRoutes, FeedTheRib) {
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    rib::Rib rib(loop);
-    xrp::staticroutes::StaticRoutes statics(rib);
-    EXPECT_TRUE(statics.add(IPv4Net::must_parse("10.0.0.0/8"),
-                            IPv4::must_parse("192.0.2.1")));
-    EXPECT_EQ(rib.route_count(), 1u);
-    EXPECT_TRUE(statics.remove(IPv4Net::must_parse("10.0.0.0/8")));
-    EXPECT_FALSE(statics.remove(IPv4Net::must_parse("10.0.0.0/8")));
-    EXPECT_EQ(rib.route_count(), 0u);
 }

@@ -341,6 +341,90 @@ TEST(RouterManager, OspfRouterIdChangeRejectedWhileInterfacesRun) {
     EXPECT_EQ(router.ospf().router_id().str(), "1.1.1.1");
 }
 
+TEST(RouterManager, EveryInTreeRouteSenderUsesTheBulkVerbs) {
+    // Connected, static, OSPF and BGP routes, and one static re-commit,
+    // all reach the RIB and the FEA as add_routes_bulk /
+    // add_routes4_bulk. The text pair is for scripts only: no in-tree
+    // sender may move its call counters.
+    auto calls = [](const char* method) {
+        return harness::ctr(
+            telemetry::metric_key("xrl_calls_total", {{"method", method}}));
+    };
+    auto text_calls = [&] {
+        return calls("rib/1.0/add_route") + calls("rib/1.0/delete_route") +
+               calls("fea/1.0/add_route4") + calls("fea/1.0/delete_route4");
+    };
+    const uint64_t text0 = text_calls();
+    const uint64_t rib0 = calls("rib/1.0/add_routes_bulk");
+    const uint64_t fea0 = calls("fea/1.0/add_routes4_bulk");
+
+    ev::VirtualClock clock;
+    ev::EventLoop loop(clock);
+    fea::VirtualNetwork network(1ms);
+    Router r1("r1", loop), r2("r2", loop);
+    ASSERT_TRUE(harness::configure(r1, R"(
+        interfaces {
+            eth0 { address 10.0.1.1/24; }
+            eth1 { address 172.16.1.1/24; }
+        }
+        protocols {
+            static { route 10.9.0.0/16 { nexthop 10.0.1.2; } }
+            ospf { router-id 1.1.1.1; interface eth0; interface eth1; }
+            bgp { local-as 1777; bgp-id 10.0.1.1; network 10.50.0.0/16; }
+        }
+    )"));
+    ASSERT_TRUE(harness::configure(r2, R"(
+        interfaces { eth0 { address 10.0.1.2/24; } }
+        protocols {
+            ospf { router-id 2.2.2.2; interface eth0; }
+            bgp { local-as 3561; bgp-id 10.0.1.2; }
+        }
+    )"));
+    int link = network.add_link();
+    r1.attach_link(network, link, "eth0");
+    r2.attach_link(network, link, "eth0");
+    Router::connect_bgp(r1, r2);
+
+    ASSERT_TRUE(converge_fib(loop, r1, IPv4::must_parse("10.9.1.1")));
+    ASSERT_TRUE(converge_fib(loop, r2, IPv4::must_parse("172.16.1.9"), 120s));
+    ASSERT_TRUE(converge_fib(loop, r2, IPv4::must_parse("10.50.1.1")));
+    EXPECT_EQ(r2.rib().lookup_exact(IPv4Net::must_parse("172.16.1.0/24"))
+                  ->protocol,
+              "ospf");
+    EXPECT_EQ(
+        r2.rib().lookup_exact(IPv4Net::must_parse("10.50.0.0/16"))->protocol,
+        "ebgp");
+
+    // Re-commit: one static route moves to a new nexthop, one is added.
+    ASSERT_TRUE(harness::configure(r1, R"(
+        interfaces {
+            eth0 { address 10.0.1.1/24; }
+            eth1 { address 172.16.1.1/24; }
+        }
+        protocols {
+            static {
+                route 10.9.0.0/16 { nexthop 10.0.1.3; }
+                route 10.8.0.0/16 { nexthop 10.0.1.2; }
+            }
+            ospf { router-id 1.1.1.1; interface eth0; interface eth1; }
+            bgp { local-as 1777; bgp-id 10.0.1.1; network 10.50.0.0/16; }
+        }
+    )"));
+    ASSERT_TRUE(loop.run_until(
+        [&] {
+            const fea::FibEntry* moved =
+                r1.fea().lookup(IPv4::must_parse("10.9.1.1"));
+            return moved != nullptr &&
+                   moved->nexthop == IPv4::must_parse("10.0.1.3") &&
+                   r1.fea().lookup(IPv4::must_parse("10.8.1.1")) != nullptr;
+        },
+        60s));
+
+    EXPECT_EQ(text_calls() - text0, 0u);
+    EXPECT_GT(calls("rib/1.0/add_routes_bulk") - rib0, 0u);
+    EXPECT_GT(calls("fea/1.0/add_routes4_bulk") - fea0, 0u);
+}
+
 TEST(RouterManager, TwoRoutersRunOspfOverVirtualNetwork) {
     // The whole OSPF path through the Router Manager: config commit
     // enables interfaces on the OspfProcess, adjacencies form over the

@@ -470,9 +470,9 @@ TEST(Trace, BgpRibFeaChainIsOneCausalTrace) {
         if (ev.kind != JournalKind::kXrlDispatch) continue;
         auto& [rib_hop, fea_hop] =
             hops.try_emplace(ev.trace, -1, -1).first->second;
-        if (contains(ev.subject, "rib/1.0/add_route"))
+        if (contains(ev.subject, "rib/1.0/add_routes_bulk"))
             rib_hop = static_cast<int>(ev.hop);
-        if (contains(ev.subject, "fea/1.0/add_route4"))
+        if (contains(ev.subject, "fea/1.0/add_routes4_bulk"))
             fea_hop = static_cast<int>(ev.hop);
     }
     uint64_t chain = 0;
@@ -551,11 +551,11 @@ TEST(Trace, JsonlDumpReconstructsRouteAddTimeline) {
         auto t = static_cast<int64_t>(v->get_number("t_ns").value_or(0));
         const std::string method = v->get_string("subject").value_or("");
         Legs& legs = traces[id];
-        if (contains(method, "rib/1.0/add_route")) {
+        if (contains(method, "rib/1.0/add_routes_bulk")) {
             legs.rib_hop = hop;
             legs.rib_t = t;
         }
-        if (contains(method, "fea/1.0/add_route4")) {
+        if (contains(method, "fea/1.0/add_routes4_bulk")) {
             legs.fea_hop = hop;
             legs.fea_t = t;
         }
