@@ -4,7 +4,10 @@
 // prefix. The headline comparison: after a single link re-cost, the
 // incremental path (restricted Dijkstra over the moved subtree) against
 // rerunning full Dijkstra, which is what a naive implementation does on
-// every flap.
+// every flap. The middle link has equal-cost alternatives, so its re-cost
+// moves almost nothing; the *SolePathChange cases re-cost a link on the
+// only shortest path to a mid-fabric subtree, which must re-settle the
+// whole subtree.
 //
 // Self-checking: after its timed loop, every incremental case compares
 // the engine's RouteMap (successor sets included) with a fresh full run
@@ -40,6 +43,9 @@ struct Topology {
     // neither is the SPF root (router 0), so a re-cost moves a real
     // subtree rather than a leaf or the root's own uplink.
     std::pair<size_t, size_t> middle{};
+    // A link on the only shortest path from the root to a subtree of
+    // several routers: re-costing it moves the whole subtree.
+    std::pair<size_t, size_t> sole_path{};
 
     explicit Topology(size_t routers) : n(routers), adj(routers),
                                         seq(routers, 1) {}
@@ -103,6 +109,9 @@ Topology make_grid(size_t side) {
     // The centre router and its right-hand neighbour.
     const size_t centre = (side / 2) * side + side / 2;
     t.middle = {centre, centre + 1};
+    // Routers on the root's row have one shortest path, along the row; the
+    // link at mid-row carries it to the row's far half.
+    t.sole_path = {side / 2 - 1, side / 2};
     return t;
 }
 
@@ -127,6 +136,10 @@ Topology make_fat_tree(size_t k) {
         }
     // An aggregation-edge link in the middle pod (the root is core 0).
     t.middle = {agg(k / 2, 0), edge(k / 2, 0)};
+    // The middle pod hangs off core 0 through its first aggregation
+    // switch alone: every edge switch and the pod's other aggregation
+    // switches are reached through that one link.
+    t.sole_path = {core(0), agg(k / 2, 0)};
     return t;
 }
 
@@ -146,8 +159,11 @@ void check_against_full(const char* shape, int64_t arg,
     g_mismatch = true;
 }
 
+// Which link each iteration re-costs (between metric 1 and 5).
+enum class Change { kNone, kMiddle, kSolePath };
+
 void run_spf_benchmark(benchmark::State& state, bool fat_tree,
-                       bool incremental, bool mutate) {
+                       bool incremental, Change change) {
     ev::VirtualClock clock;
     ev::EventLoop loop(clock);
     Lsdb db(loop);
@@ -157,11 +173,11 @@ void run_spf_benchmark(benchmark::State& state, bool fat_tree,
     engine.set_root(Topology::rid(0));
     engine.run_full(db);
 
-    auto [a, b] = topo.middle;
+    auto [a, b] = change == Change::kSolePath ? topo.sole_path : topo.middle;
     uint32_t flip = 0;
     for (auto _ : state) {
         std::vector<LsaKey> changed;
-        if (mutate) {
+        if (change != Change::kNone) {
             topo.set_metric(a, b, (flip++ % 2) ? 1 : 5);
             changed = topo.reinstall(db, a, b);
         }
@@ -188,41 +204,55 @@ void run_spf_benchmark(benchmark::State& state, bool fat_tree,
 // Baseline: what every topology change costs without the incremental
 // path.
 static void BM_GridFullSpf(benchmark::State& state) {
-    run_spf_benchmark(state, false, false, false);
+    run_spf_benchmark(state, false, false, Change::kNone);
 }
 BENCHMARK(BM_GridFullSpf)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
 // The contest on one re-costed link: full recompute...
 static void BM_GridFullAfterLinkChange(benchmark::State& state) {
-    run_spf_benchmark(state, false, false, true);
+    run_spf_benchmark(state, false, false, Change::kMiddle);
 }
 BENCHMARK(BM_GridFullAfterLinkChange)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
 // ...versus the incremental dynamic-SPT update.
 static void BM_GridIncrementalLinkChange(benchmark::State& state) {
-    run_spf_benchmark(state, false, true, true);
+    run_spf_benchmark(state, false, true, Change::kMiddle);
 }
 BENCHMARK(BM_GridIncrementalLinkChange)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
 static void BM_FatTreeFullSpf(benchmark::State& state) {
-    run_spf_benchmark(state, true, false, false);
+    run_spf_benchmark(state, true, false, Change::kNone);
 }
 BENCHMARK(BM_FatTreeFullSpf)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
 static void BM_FatTreeFullAfterLinkChange(benchmark::State& state) {
-    run_spf_benchmark(state, true, false, true);
+    run_spf_benchmark(state, true, false, Change::kMiddle);
 }
 BENCHMARK(BM_FatTreeFullAfterLinkChange)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
 static void BM_FatTreeIncrementalLinkChange(benchmark::State& state) {
-    run_spf_benchmark(state, true, true, true);
+    run_spf_benchmark(state, true, true, Change::kMiddle);
 }
 BENCHMARK(BM_FatTreeIncrementalLinkChange)->Arg(4)->Arg(8)->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
+
+// A re-cost on the only shortest path to a subtree: the incremental run
+// re-settles the subtree, so `visited` grows with the fabric.
+static void BM_GridIncrementalSolePathChange(benchmark::State& state) {
+    run_spf_benchmark(state, false, true, Change::kSolePath);
+}
+BENCHMARK(BM_GridIncrementalSolePathChange)->Arg(8)->Arg(16)->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
+
+static void BM_FatTreeIncrementalSolePathChange(benchmark::State& state) {
+    run_spf_benchmark(state, true, true, Change::kSolePath);
+}
+BENCHMARK(BM_FatTreeIncrementalSolePathChange)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
 // A refresh (new seq, same topology) must cost ~nothing: the delta

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 CI: plain build + tests, then the text route verbs driven end to
+# Tier-1 CI: the doc-table check, plain build + tests, then the text route verbs driven end to
 # end through call_xrl, then the repo benchmark's self-test,
 # then an address/undefined-sanitized build + tests, then a chaos pass (the integration + chaos suites rerun
 # with seeded XRL fault injection — 5% drops and 0-10 ms delays on every
@@ -14,6 +14,11 @@ set -eu
 
 cd "$(dirname "$0")"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+echo "== doc tables match their committed rows =="
+# Reads only committed files: EXPERIMENTS.md's §5.1 memory table must
+# agree with BENCH_memory.json (0.1 MB, 1 byte/route).
+python3 bench/check_memory_table.py
 
 echo "== plain build =="
 cmake -B build -S . >/dev/null

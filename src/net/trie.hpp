@@ -22,9 +22,10 @@
 // Allocation: nodes live on a per-trie arena — contiguous blocks carved
 // into node slots, recycled through a free list — so a million-route
 // table costs one malloc per kArenaBlockNodes nodes instead of one per
-// node, and neighbouring nodes share cache lines. The global toggle
-// (set_trie_arena_enabled) is captured at construction; bench_memory
-// flips it to measure the before/after footprint.
+// node, and neighbouring nodes share cache lines. The root is not on the
+// arena, so a table that never holds a route costs no block. The global
+// toggle (set_trie_arena_enabled) is captured at construction;
+// bench_memory flips it to measure the before/after footprint.
 #ifndef XRP_NET_TRIE_HPP
 #define XRP_NET_TRIE_HPP
 
@@ -59,14 +60,15 @@ class RouteTrie {
 public:
     using Net = IpNet<A>;
 
-    RouteTrie() : root_(arena_.create(Net{}, nullptr)) {}
+    RouteTrie() = default;
 
     RouteTrie(const RouteTrie&) = delete;
     RouteTrie& operator=(const RouteTrie&) = delete;
 
     ~RouteTrie() {
         assert(live_iterators_ == 0);
-        destroy_subtree(root_);
+        destroy_subtree(root_->child[0]);
+        destroy_subtree(root_->child[1]);
     }
 
     size_t size() const { return size_; }
@@ -511,7 +513,10 @@ private:
     }
 
     Arena arena_;
-    Node* root_;
+    // The root (the default prefix) lives in the trie itself, so a table
+    // that never holds a route allocates no arena block.
+    Node root_node_{Net{}};
+    Node* const root_ = &root_node_;
     size_t size_ = 0;
     size_t live_iterators_ = 0;
 };

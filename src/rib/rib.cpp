@@ -141,12 +141,14 @@ void Rib::set_admin_distance(const std::string& protocol, uint32_t distance) {
     if (it != origins_.end()) it->second.admin_distance = distance;
 }
 
+// Register and any Redist stage pass the winner stream through unchanged,
+// so Register's replica holds exactly the routes the FEA was sent.
 std::optional<Route4> Rib::lookup(IPv4 addr) const {
-    return final_->lookup_route_lpm(addr);
+    return register_stage_->lookup_route_lpm(addr);
 }
 
 std::optional<Route4> Rib::lookup_exact(const IPv4Net& net) const {
-    return final_->lookup_route(net);
+    return register_stage_->lookup_route(net);
 }
 
 size_t Rib::origin_route_count(const std::string& protocol) const {

@@ -6,8 +6,8 @@
 // (external/internal composition and recursive nexthop resolution)
 // computes the winners; dynamic Redist stages tap the winner stream for
 // route redistribution; the Register stage answers interest
-// registrations (Figure 8) and pushes cache invalidations; and the final
-// sink feeds the FEA.
+// registrations (Figure 8), pushes cache invalidations and answers the
+// winner queries; and the final sink, which stores nothing, feeds the FEA.
 //
 //   connected --.
 //   static   --- merge .
@@ -51,10 +51,10 @@ using Route4 = stage::Route<net::IPv4>;
 
 // Coupling to the FEA, abstract so the RIB tests standalone and deploys
 // over XRLs. Every winner change reaches it as a delta through push_batch:
-// the fea-branch sink hands even a lone add or delete on as a one-entry
-// batch. The scalar virtuals call nothing in the program; they remain for
-// handles written against them, and by default wrap their change in a
-// one-entry batch.
+// the fea-branch sink, which keeps no table of its own, hands even a lone
+// add or delete on as a one-entry batch. The scalar virtuals call nothing
+// in the program; they remain for handles written against them, and by
+// default wrap their change in a one-entry batch.
 class FeaHandle {
 public:
     virtual ~FeaHandle() = default;
@@ -150,7 +150,7 @@ public:
     // ---- winner queries -----------------------------------------------
     std::optional<Route4> lookup(net::IPv4 addr) const;
     std::optional<Route4> lookup_exact(const net::IPv4Net& net) const;
-    size_t route_count() const { return final_->route_count(); }
+    size_t route_count() const { return register_stage_->route_count(); }
     size_t origin_route_count(const std::string& protocol) const;
 
     // ---- interest registration (Figure 8, §5.2.1) ----------------------

@@ -26,11 +26,11 @@ RipProcess::RipProcess(ev::EventLoop& loop, fea::Fea& fea, Config config,
     sock_ = fea_.udp_open(kRipPort,
                           [this](const std::string& ifname,
                                  const fea::Datagram& d) {
-                              on_datagram(ifname, d);
+                              batched([&] { on_datagram(ifname, d); });
                           });
     iftable_listener_ = fea_.interfaces().add_listener(
         [this](const fea::Interface& itf, bool up) {
-            on_interface_change(itf, up);
+            batched([&] { on_interface_change(itf, up); });
         });
     update_timer_ = loop_.set_periodic(config_.update_interval, [this] {
         periodic_update();
@@ -52,7 +52,7 @@ bool RipProcess::enable_interface(const std::string& ifname) {
     enabled_.insert(ifname);
     // Originate the connected subnet and ask neighbours for their tables
     // immediately — convergence must not wait for a periodic timer (§4).
-    db_.originate(itf->subnet, 1);
+    batched([&] { db_.originate(itf->subnet, 1); });
     RipPacket req = RipPacket::whole_table_request();
     fea_.udp_send(sock_, ifname, kRipGroup, kRipPort, encode_packet(req));
     return true;
@@ -60,17 +60,19 @@ bool RipProcess::enable_interface(const std::string& ifname) {
 
 void RipProcess::disable_interface(const std::string& ifname) {
     enabled_.erase(ifname);
-    db_.expire_interface_routes(ifname);
+    batched([&] { db_.expire_interface_routes(ifname); });
     schedule_triggered();
 }
 
 void RipProcess::originate(const IPv4Net& net, uint32_t metric) {
-    db_.originate(net, metric);
+    batched([&] { db_.originate(net, metric); });
     schedule_triggered();
 }
 
 void RipProcess::withdraw(const IPv4Net& net) {
-    if (db_.withdraw(net)) schedule_triggered();
+    bool changed = false;
+    batched([&] { changed = db_.withdraw(net); });
+    if (changed) schedule_triggered();
 }
 
 void RipProcess::on_datagram(const std::string& ifname,
@@ -176,13 +178,20 @@ void RipProcess::fire_triggered() {
 }
 
 void RipProcess::on_route_change(bool is_add, const RipRoute& r) {
-    stage::RouteBatch4 delta;
     if (is_add)
-        delta.add(r.net, net::NexthopSet4::single(r.nexthop), r.metric);
+        rib_pending_.add(r.net, net::NexthopSet4::single(r.nexthop),
+                         r.metric);
     else
-        delta.del(r.net);
-    rib_->push_batch("rip", std::move(delta));
+        rib_pending_.del(r.net);
+    if (!gathering_) flush_rib();  // a timer expiry
     schedule_triggered();
+}
+
+void RipProcess::flush_rib() {
+    if (rib_pending_.empty()) return;
+    stage::RouteBatch4 delta = std::move(rib_pending_);
+    rib_pending_.clear();
+    rib_->push_batch("rip", std::move(delta));
 }
 
 void RipProcess::on_interface_change(const fea::Interface& itf, bool up) {

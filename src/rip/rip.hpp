@@ -9,7 +9,9 @@
 //     except the periodic full advertisement RFC 2453 requires.
 //
 // Learned routes feed the RIB through a rib::RibClient ("rip" protocol,
-// admin distance 120 by default), each change as a one-entry batch.
+// admin distance 120 by default). The changes one entry point makes — a
+// received datagram, an interface change, enable/originate/withdraw —
+// reach the RIB as one batch; a timer expiry is one batch of its own.
 #ifndef XRP_RIP_RIP_HPP
 #define XRP_RIP_RIP_HPP
 
@@ -79,6 +81,16 @@ private:
     void fire_triggered();
     void on_route_change(bool is_add, const RipRoute& r);
     void on_interface_change(const fea::Interface& itf, bool up);
+    // Runs one entry point with RouteDb's changes gathered into
+    // rib_pending_, then pushes them to the RIB as one batch.
+    template <class F>
+    void batched(F&& fn) {
+        gathering_ = true;
+        fn();
+        gathering_ = false;
+        flush_rib();
+    }
+    void flush_rib();
 
     ev::EventLoop& loop_;
     fea::Fea& fea_;
@@ -91,6 +103,8 @@ private:
     ev::Timer update_timer_;
     ev::Timer triggered_timer_;
     bool triggered_pending_ = false;
+    stage::RouteBatch4 rib_pending_;
+    bool gathering_ = false;
     Stats stats_;
 };
 

@@ -36,8 +36,8 @@
 #ifndef XRP_STAGE_BATCH_HPP
 #define XRP_STAGE_BATCH_HPP
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -138,61 +138,81 @@ public:
     // Relative order of surviving prefixes follows each prefix's *first*
     // appearance, keeping the stream deterministic. Only safe where the
     // consumer cares about final state, not the transient message list
-    // (wire framing, FIB install).
+    // (wire framing, FIB install). A batch in which no prefix repeats is
+    // already its own net effect and is left as it is; otherwise the
+    // folded routes are moved, not copied.
     void coalesce() {
         if (entries_.size() < 2) return;
-        // Per-prefix folded state: the route downstream held before the
-        // batch (if any was deleted/replaced) and the route it should
-        // hold after (if any survives).
-        struct Folded {
-            std::optional<RouteT> before;  // first delete/replace old seen
-            std::optional<RouteT> after;   // last surviving add
-            bool saw_delete = false;
-            size_t first_index = 0;
+        // (prefix, entry index), sorted: each prefix's entries sit together
+        // in batch order.
+        std::vector<std::pair<net::IpNet<A>, size_t>> by_net;
+        by_net.reserve(entries_.size());
+        for (size_t i = 0; i < entries_.size(); ++i)
+            by_net.emplace_back(entries_[i].route.net, i);
+        std::sort(by_net.begin(), by_net.end());
+        const auto same_net = [](const auto& x, const auto& y) {
+            return x.first == y.first;
         };
-        std::map<net::IpNet<A>, Folded> by_net;
-        std::vector<const net::IpNet<A>*> order;
+        if (std::adjacent_find(by_net.begin(), by_net.end(), same_net) ==
+            by_net.end())
+            return;
+
+        // Fold each repeated prefix into the slot of its first entry;
+        // `dropped` marks the slots its later entries leave empty.
+        std::vector<bool> dropped(entries_.size(), false);
+        for (auto g = by_net.begin(); g != by_net.end();) {
+            auto g_end = g + 1;
+            while (g_end != by_net.end() && g_end->first == g->first) ++g_end;
+            if (g_end - g > 1) {
+                // The route downstream held before the batch (if any was
+                // deleted/replaced) and the route it should hold after (if
+                // any survives).
+                RouteT* before = nullptr;
+                RouteT* after = nullptr;
+                for (auto it = g; it != g_end; ++it) {
+                    EntryT& e = entries_[it->second];
+                    switch (e.op) {
+                    case BatchOp::kAdd:
+                        after = &e.route;
+                        break;
+                    case BatchOp::kDelete:
+                        if (before == nullptr && after == nullptr)
+                            before = &e.route;
+                        after = nullptr;
+                        break;
+                    case BatchOp::kReplace:
+                        if (before == nullptr && after == nullptr)
+                            before = &e.old_route;
+                        after = &e.route;
+                        break;
+                    }
+                }
+                for (auto it = g; it != g_end; ++it) dropped[it->second] = true;
+                const size_t first = g->second;
+                if (after != nullptr) {
+                    entries_[first] =
+                        before != nullptr
+                            ? EntryT{BatchOp::kReplace, std::move(*after),
+                                     std::move(*before)}
+                            : EntryT{BatchOp::kAdd, std::move(*after), {}};
+                    dropped[first] = false;
+                } else if (before != nullptr) {
+                    entries_[first] =
+                        EntryT{BatchOp::kDelete, std::move(*before), {}};
+                    dropped[first] = false;
+                }
+                // else: add+delete within the batch — downstream never
+                // sees it.
+            }
+            g = g_end;
+        }
+        size_t out = 0;
         for (size_t i = 0; i < entries_.size(); ++i) {
-            const EntryT& e = entries_[i];
-            auto [it, fresh] = by_net.try_emplace(e.route.net);
-            Folded& f = it->second;
-            if (fresh) {
-                f.first_index = i;
-                order.push_back(&it->first);
-            }
-            switch (e.op) {
-            case BatchOp::kAdd:
-                f.after = e.route;
-                break;
-            case BatchOp::kDelete:
-                if (!f.before && !f.after) f.before = e.route;
-                f.after.reset();
-                f.saw_delete = true;
-                break;
-            case BatchOp::kReplace:
-                if (!f.before && !f.after) f.before = e.old_route;
-                f.after = e.route;
-                f.saw_delete = true;
-                break;
-            }
+            if (dropped[i]) continue;
+            if (out != i) entries_[out] = std::move(entries_[i]);
+            ++out;
         }
-        std::vector<EntryT> folded;
-        folded.reserve(by_net.size());
-        for (const auto* netp : order) {
-            Folded& f = by_net.find(*netp)->second;
-            if (f.before && f.after) {
-                folded.push_back(EntryT{BatchOp::kReplace, std::move(*f.after),
-                                        std::move(*f.before)});
-            } else if (f.after) {
-                folded.push_back(
-                    EntryT{BatchOp::kAdd, std::move(*f.after), {}});
-            } else if (f.before && f.saw_delete) {
-                folded.push_back(
-                    EntryT{BatchOp::kDelete, std::move(*f.before), {}});
-            }
-            // else: add+delete within the batch — downstream never sees it.
-        }
-        entries_ = std::move(folded);
+        entries_.resize(out);
     }
 
     // ---- wire framing ---------------------------------------------------

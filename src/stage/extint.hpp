@@ -12,10 +12,19 @@
 //     switching to a more specific internal route when one shows up.
 // Unlike filter/merge stages this one is stateful: correctness of deletes
 // requires remembering exactly which resolved version went downstream.
+// Each forwarded route keeps the prefix of the internal route it resolved
+// through beside it, so an internal change finds its dependents by
+// walking the forwarded table.
+//
+// The stage also keeps the internal winners as its input stream stated
+// them. A batch reaches this stage only after every stage above it has
+// applied the whole batch, so a lookup upstream answers with the batch's
+// final state, not the state at the entry being processed; resolution and
+// same-prefix arbitration read this copy instead, which is exact at every
+// entry. Internal tables are IGP-sized, small next to the external table.
 #ifndef XRP_STAGE_EXTINT_HPP
 #define XRP_STAGE_EXTINT_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,7 +53,7 @@ public:
         if (caller == int_) {
             add_internal(route);
         } else {
-            add_external(route);
+            place(route);
         }
     }
 
@@ -62,21 +71,22 @@ public:
         this->collect_and_forward(std::move(batch), caller);
     }
 
+    // Downstream truth: the forwarded external route for this prefix, else
+    // the internal one.
     std::optional<RouteT> lookup_route(const Net& net) const override {
-        // Downstream truth: whatever we forwarded for this prefix.
-        if (const RouteT* f = forwarded_.find(net))
-            return *f;
-        // Internal routes pass through unmodified.
-        return int_ != nullptr ? int_->lookup_route(net) : std::nullopt;
+        if (const Forwarded* f = forwarded_.find(net)) return f->route;
+        const RouteT* i = internal_.find(net);
+        return i != nullptr ? std::optional<RouteT>(*i) : std::nullopt;
     }
 
     std::optional<RouteT> lookup_route_lpm(A addr) const override {
-        const RouteT* f = forwarded_.lookup(addr, nullptr);
-        auto i = int_ != nullptr ? int_->lookup_route_lpm(addr) : std::nullopt;
-        // Ties go to the forwarded external answer (it carries igp_metric).
+        const Forwarded* f = forwarded_.lookup(addr);
+        const RouteT* i = internal_.lookup(addr);
+        // Ties go to the forwarded external answer: it beat the internal
+        // route for that prefix.
         return this->longer_match(
-            std::move(i),
-            f != nullptr ? std::optional<RouteT>(*f) : std::nullopt);
+            i != nullptr ? std::optional<RouteT>(*i) : std::nullopt,
+            f != nullptr ? std::optional<RouteT>(f->route) : std::nullopt);
     }
 
     std::string name() const override { return name_; }
@@ -84,34 +94,40 @@ public:
     size_t unresolved_count() const { return unresolved_.size(); }
 
 private:
+    // A forwarded external route, as forwarded (igp_metric filled in), and
+    // the internal prefix it resolved through.
+    struct Forwarded {
+        RouteT route;
+        Net via;
+    };
+
     // ---- external side -----------------------------------------------
-    void add_external(const RouteT& route) {
-        auto resolver = int_->lookup_route_lpm(route.nexthop);
-        if (!resolver) {
+    // Settles an external route that is not downstream: forwarded when an
+    // internal route covers its nexthop and it beats any internal route for
+    // its own prefix (which then leaves downstream), shadowed when such a
+    // route beats it, parked otherwise.
+    void place(const RouteT& route) {
+        Net via;
+        const RouteT* resolver = internal_.lookup(route.nexthop, &via);
+        if (resolver == nullptr) {
             unresolved_.insert(route.net, route);
             return;
         }
-        // Same-prefix conflict with an internal route: preference decides
-        // whether the external route goes downstream or waits shadowed.
-        auto i_same = int_->lookup_route(route.net);
-        if (i_same && route_preferred(*i_same, route)) {
-            shadowed_.insert(route.net, route);
-            return;
+        const uint32_t igp_metric = resolver->metric;
+        if (const RouteT* i_same = internal_.find(route.net)) {
+            if (route_preferred(*i_same, route)) {
+                shadowed_.insert(route.net, route);
+                return;
+            }
+            this->forward_delete(*i_same);
         }
-        if (i_same) this->forward_delete(*i_same);
-        emit_resolved(route, *resolver);
+        forward_resolved(route, igp_metric, via);
     }
 
     void delete_external(const RouteT& route) {
         if (unresolved_.erase(route.net)) return;  // never forwarded
         if (shadowed_.erase(route.net)) return;    // never forwarded
-        bool was_forwarded = forwarded_.find(route.net) != nullptr;
-        retract(route.net);
-        if (was_forwarded) {
-            // Promote a same-prefix internal route the external had beaten.
-            auto i = int_->lookup_route(route.net);
-            if (i) this->forward_add(*i);
-        }
+        if (forwarded_.find(route.net) != nullptr) unforward(route.net);
     }
 
     // ---- internal side -----------------------------------------------
@@ -120,20 +136,19 @@ private:
     // stream leaves as one batch instead of one message per route.
     void add_internal(const RouteT& route) {
         this->forward_collected([&] {
+            internal_.insert(route.net, route);
             // Same-prefix conflict with a forwarded external route: settle by
             // the standard preference order.
-            if (const RouteT* f = forwarded_.find(route.net)) {
-                if (route_preferred(*f, route)) {
+            if (const Forwarded* f = forwarded_.find(route.net)) {
+                if (route_preferred(f->route, route)) {
                     // External keeps winning; the internal route simply is not
                     // forwarded (it can still resolve nexthops, below).
                     reresolve_after_internal_add(route);
                     return;
                 }
                 // Internal now wins: demote the external to shadowed.
-                RouteT original = *f;
-                original.igp_metric = kUnresolvedMetric;
-                retract(route.net);
-                shadowed_.insert(original.net, original);
+                RouteT original = retract(route.net);
+                shadowed_.insert(original.net, std::move(original));
             }
             this->forward_add(route);
             reresolve_after_internal_add(route);
@@ -142,6 +157,7 @@ private:
 
     void delete_internal(const RouteT& route) {
         this->forward_collected([&] {
+            internal_.erase(route.net);
             if (forwarded_.find(route.net) == nullptr) {
                 this->forward_delete(route);
             }
@@ -152,30 +168,15 @@ private:
             if (const RouteT* s = shadowed_.find(route.net)) {
                 RouteT ext = *s;
                 shadowed_.erase(route.net);
-                auto resolver = int_->lookup_route_lpm(ext.nexthop);
-                if (resolver)
-                    emit_resolved(ext, *resolver);
-                else
-                    unresolved_.insert(ext.net, ext);
+                place(ext);
             }
 
             // Dependents resolved through this prefix must re-resolve.
             std::vector<Net> affected;
-            for (const auto& [ext_net, res_net] : resolving_)
-                if (res_net == route.net) affected.push_back(ext_net);
-            for (const Net& ext_net : affected) {
-                const RouteT* f = forwarded_.find(ext_net);
-                if (f == nullptr) continue;
-                RouteT original = *f;
-                original.igp_metric = kUnresolvedMetric;
-                retract(ext_net);
-                auto resolver = int_->lookup_route_lpm(original.nexthop);
-                if (resolver) {
-                    emit_resolved(original, *resolver);
-                } else {
-                    unresolved_.insert(original.net, original);
-                }
-            }
+            forwarded_.for_each([&](const Net& ext_net, const Forwarded& f) {
+                if (f.via == route.net) affected.push_back(ext_net);
+            });
+            for (const Net& ext_net : affected) reresolve(ext_net);
         });
     }
 
@@ -187,59 +188,74 @@ private:
         });
         for (const RouteT& r : newly_resolved) {
             unresolved_.erase(r.net);
-            // Resolve via LPM (the new route may not even be the best).
-            auto resolver = int_->lookup_route_lpm(r.nexthop);
-            if (resolver)
-                emit_resolved(r, *resolver);
-            else
-                unresolved_.insert(r.net, r);
+            place(r);
         }
         // Forwarded routes that should switch to this more specific cover.
         std::vector<Net> to_upgrade;
-        for (const auto& [ext_net, res_net] : resolving_) {
-            if (internal.net.contains(res_net)) continue;  // already better
-            if (!res_net.contains(internal.net)) continue;
-            const RouteT* f = forwarded_.find(ext_net);
-            if (f != nullptr && internal.net.contains(f->nexthop))
+        forwarded_.for_each([&](const Net& ext_net, const Forwarded& f) {
+            if (internal.net.contains(f.via)) return;  // already better
+            if (!f.via.contains(internal.net)) return;
+            if (internal.net.contains(f.route.nexthop))
                 to_upgrade.push_back(ext_net);
-        }
-        for (const Net& ext_net : to_upgrade) {
-            RouteT original = *forwarded_.find(ext_net);
-            original.igp_metric = kUnresolvedMetric;
-            retract(ext_net);
-            auto resolver = int_->lookup_route_lpm(original.nexthop);
-            if (resolver) emit_resolved(original, *resolver);
-        }
+        });
+        for (const Net& ext_net : to_upgrade) reresolve(ext_net);
     }
 
-    void emit_resolved(const RouteT& route, const RouteT& resolver) {
-        RouteT r = route;
-        r.igp_metric = resolver.metric;
-        forwarded_.insert(r.net, r);
-        resolving_[r.net] = resolver.net;
-        this->forward_add(r);
+    // A forwarded route's cover changed: resolve it again. It still beats
+    // any internal route for its own prefix (internal changes at that
+    // prefix were settled first), so it either goes back down with its new
+    // cover or parks, handing its prefix to that internal route.
+    void reresolve(const Net& ext_net) {
+        Net via;
+        const RouteT* resolver =
+            internal_.lookup(forwarded_.find(ext_net)->route.nexthop, &via);
+        if (resolver == nullptr) {
+            RouteT original = unforward(ext_net);
+            unresolved_.insert(original.net, std::move(original));
+            return;
+        }
+        const uint32_t igp_metric = resolver->metric;
+        forward_resolved(retract(ext_net), igp_metric, via);
     }
 
-    void retract(const Net& ext_net) {
-        const RouteT* f = forwarded_.find(ext_net);
-        if (f == nullptr) return;
-        RouteT old = *f;
+    void forward_resolved(const RouteT& route, uint32_t igp_metric,
+                          const Net& via) {
+        Forwarded f{route, via};
+        f.route.igp_metric = igp_metric;
+        this->forward_add(f.route);
+        forwarded_.insert(route.net, std::move(f));
+    }
+
+    // Takes a forwarded route back from downstream and returns it as it
+    // arrived (igp_metric unresolved).
+    RouteT retract(const Net& ext_net) {
+        Forwarded* f = forwarded_.find(ext_net);
+        RouteT old = std::move(f->route);
         forwarded_.erase(ext_net);
-        resolving_.erase(ext_net);
         this->forward_delete(old);
+        old.igp_metric = kUnresolvedMetric;
+        return old;
+    }
+
+    // retract() for a route leaving downstream for good: an internal route
+    // for the same prefix, which it had beaten, goes down in its place.
+    RouteT unforward(const Net& ext_net) {
+        RouteT old = retract(ext_net);
+        if (const RouteT* i = internal_.find(ext_net)) this->forward_add(*i);
+        return old;
     }
 
     std::string name_;
     RouteStage<A>* ext_ = nullptr;
     RouteStage<A>* int_ = nullptr;
     // External routes forwarded downstream, as forwarded (resolved).
-    net::RouteTrie<A, RouteT> forwarded_;
+    net::RouteTrie<A, Forwarded> forwarded_;
     // External routes waiting for a usable internal cover.
     net::RouteTrie<A, RouteT> unresolved_;
     // External routes beaten by a same-prefix internal route.
     net::RouteTrie<A, RouteT> shadowed_;
-    // external net -> internal net it resolved through.
-    std::map<Net, Net> resolving_;
+    // Internal winners as this stage's input stated them.
+    net::RouteTrie<A, RouteT> internal_;
 };
 
 }  // namespace xrp::stage

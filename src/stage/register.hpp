@@ -72,6 +72,8 @@ public:
     }
 
     size_t registration_count() const { return registrations_.size(); }
+    // Winners in the stream passing through, the RIB's route count.
+    size_t route_count() const { return replica_.size(); }
 
     // ---- stage interface ------------------------------------------------
     void add_route(const RouteT& route, RouteStage<A>*) override {
@@ -136,7 +138,8 @@ private:
 
     std::string name_;
     // Replica of the winning-route stream passing through this stage;
-    // answers register queries without bothering upstream.
+    // answers register queries and the RIB's winner queries without
+    // bothering upstream.
     net::RouteTrie<A, RouteT> replica_;
     net::RouteTrie<A, Registration> registrations_;
 };

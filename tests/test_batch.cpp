@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <random>
 
 #include "bgp/attributes.hpp"
@@ -100,6 +102,110 @@ TEST(RouteBatch, CoalesceFoldsChurnToNetEffect) {
         EXPECT_EQ(again.entries()[i].op, b.entries()[i].op);
         EXPECT_EQ(again.entries()[i].route, b.entries()[i].route);
     }
+}
+
+// The std::map fold coalesce() used before it learned to skip batches
+// without a repeated prefix, kept as the reference it must match.
+std::vector<BatchEntry<IPv4>> reference_coalesce(
+    const std::vector<BatchEntry<IPv4>>& entries) {
+    if (entries.size() < 2) return entries;
+    struct Folded {
+        std::optional<Route4> before;
+        std::optional<Route4> after;
+        bool saw_delete = false;
+    };
+    std::map<IPv4Net, Folded> by_net;
+    std::vector<IPv4Net> order;
+    for (const auto& e : entries) {
+        auto [it, fresh] = by_net.try_emplace(e.route.net);
+        Folded& f = it->second;
+        if (fresh) order.push_back(e.route.net);
+        switch (e.op) {
+        case BatchOp::kAdd:
+            f.after = e.route;
+            break;
+        case BatchOp::kDelete:
+            if (!f.before && !f.after) f.before = e.route;
+            f.after.reset();
+            f.saw_delete = true;
+            break;
+        case BatchOp::kReplace:
+            if (!f.before && !f.after) f.before = e.old_route;
+            f.after = e.route;
+            f.saw_delete = true;
+            break;
+        }
+    }
+    std::vector<BatchEntry<IPv4>> folded;
+    for (const auto& net : order) {
+        Folded& f = by_net[net];
+        if (f.before && f.after)
+            folded.push_back({BatchOp::kReplace, *f.after, *f.before});
+        else if (f.after)
+            folded.push_back({BatchOp::kAdd, *f.after, {}});
+        else if (f.before && f.saw_delete)
+            folded.push_back({BatchOp::kDelete, *f.before, {}});
+    }
+    return folded;
+}
+
+void expect_same_entries(const std::vector<BatchEntry<IPv4>>& got,
+                         const std::vector<BatchEntry<IPv4>>& want,
+                         size_t trial) {
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].op, want[i].op) << "trial " << trial << " #" << i;
+        ASSERT_TRUE(got[i].route == want[i].route)
+            << "trial " << trial << " #" << i;
+        ASSERT_TRUE(got[i].old_route == want[i].old_route)
+            << "trial " << trial << " #" << i;
+    }
+}
+
+TEST(RouteBatch, CoalesceMatchesTheMapFoldOnRandomBatches) {
+    std::mt19937 rng(0xc0a1e5ce);
+    size_t with_repeat = 0, without_repeat = 0;
+    for (size_t trial = 0; trial < 12000; ++trial) {
+        // Every fourth batch draws distinct prefixes; the rest draw from a
+        // handful, so repeats are common.
+        const bool distinct = trial % 4 == 0;
+        const size_t n = 1 + rng() % 64;
+        const size_t pool = distinct ? 256 : 1 + rng() % 6;
+        std::vector<uint32_t> picks(pool);
+        for (uint32_t i = 0; i < pool; ++i) picks[i] = i;
+        std::shuffle(picks.begin(), picks.end(), rng);
+        RouteBatch4 b;
+        for (size_t i = 0; i < n; ++i) {
+            const uint32_t p = distinct ? picks[i] : picks[rng() % pool];
+            const std::string net =
+                "10." + std::to_string(p) + ".0.0/16";
+            Route4 r = mkroute(net, "192.0.2.1", 1 + rng() % 9);
+            switch (rng() % 3) {
+            case 0:
+                b.add(r);
+                break;
+            case 1:
+                b.del(r);
+                break;
+            default:
+                b.replace(mkroute(net, "192.0.2.2", 10 + rng() % 9), r);
+                break;
+            }
+        }
+        const auto before = b.entries();
+        const auto want = reference_coalesce(before);
+        b.coalesce();
+        expect_same_entries(b.entries(), want, trial);
+        if (distinct) {
+            // No repeated prefix: the batch comes back as it went in.
+            expect_same_entries(b.entries(), before, trial);
+            ++without_repeat;
+        } else if (want.size() < before.size()) {
+            ++with_repeat;
+        }
+    }
+    EXPECT_EQ(without_repeat, 3000u);
+    EXPECT_GT(with_repeat, 5000u);
 }
 
 TEST(RouteBatch, CountsSplitReplacesIntoBothSides) {
@@ -453,7 +559,7 @@ TEST(TrieArena, ToggleSnapshotsAndCorrectnessHolds) {
 
     net::set_trie_arena_enabled(true);
     net::RouteTrie<IPv4, uint32_t> on;
-    EXPECT_GT(on.arena_bytes(), 0u);  // root node lives on the arena
+    EXPECT_EQ(on.arena_bytes(), 0u);  // the root lives in the trie itself
     exercise(on);
     EXPECT_GT(on.arena_bytes(), 0u);
 
@@ -732,7 +838,7 @@ TEST(Collector, RefilterPassesAndBackgroundSlicesLeaveAsBatches) {
     EXPECT_EQ(probe.batches, 4u);  // ceil(17 / 5)
     EXPECT_EQ(probe.scalars, 0u);
     expect_stream(false, survivors);
-    EXPECT_EQ(probe.sink.route_count(), 0u);
+    EXPECT_EQ(checker.route_count(), 0u);
     EXPECT_TRUE(checker.consistent()) << checker.violations().front();
 }
 
@@ -791,7 +897,9 @@ TEST(Collector, ExtIntCoverReleasesAndRetractsParkedRoutesAsOneBatch) {
     EXPECT_EQ(probe.scalars, 0u);
     EXPECT_EQ(probe.stream, per_route);
     EXPECT_EQ(extint.unresolved_count(), kParked);
-    EXPECT_EQ(probe.sink.route_count(), 0u);
+    ext.table().for_each([&](const IPv4Net& net, const Route4&) {
+        EXPECT_FALSE(extint.lookup_route(net).has_value()) << net.str();
+    });
 }
 
 // ---- the equivalence oracle (whole RIB) ---------------------------------

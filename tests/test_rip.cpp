@@ -309,3 +309,73 @@ TEST(RipProtocol, SplitHorizonPoisonsReverse) {
     EXPECT_TRUE(r->permanent);
     EXPECT_EQ(r->metric, 1u);
 }
+
+// A response carrying N new routes reaches the RIB as one batch of N, and
+// leaves the same winners as one route per batch would.
+TEST(RipProtocol, ResponseReachesTheRibAsOneBatch) {
+    struct CapturingRib final : rib::RibClient {
+        rib::Rib& rib;
+        std::vector<size_t> batch_sizes;
+        explicit CapturingRib(rib::Rib& r) : rib(r) {}
+        void push_batch(const std::string& protocol,
+                        stage::RouteBatch4&& batch) override {
+            EXPECT_EQ(protocol, "rip");
+            batch_sizes.push_back(batch.size());
+            rib.push_batch(protocol, std::move(batch));
+        }
+    };
+
+    ev::VirtualClock clock;
+    ev::EventLoop loop{clock};
+    fea::VirtualNetwork network{1ms};
+    const int link = network.add_link();
+    fea::Fea sender_fea{loop}, fea{loop};
+    sender_fea.interfaces().add_interface("right",
+                                          IPv4::must_parse("10.0.1.1"), 24);
+    fea.interfaces().add_interface("left", IPv4::must_parse("10.0.1.2"), 24);
+    sender_fea.attach_to_network(&network, link, "right");
+    fea.attach_to_network(&network, link, "left");
+
+    rib::Rib rib{loop, std::make_unique<rib::DirectFeaHandle>(fea)};
+    auto client = std::make_unique<CapturingRib>(rib);
+    CapturingRib& captured = *client;
+    RipProcess rip{loop, fea, RipProcess::Config{}, std::move(client)};
+    ASSERT_TRUE(rip.enable_interface("left"));
+    // The connected subnet, one batch.
+    ASSERT_EQ(captured.batch_sizes, std::vector<size_t>{1});
+    captured.batch_sizes.clear();
+
+    // A neighbour's response with 25 new routes, straight from port 520.
+    RipPacket response;
+    for (uint32_t i = 0; i < kMaxEntriesPerPacket; ++i) {
+        RipEntry e;
+        e.net = IPv4Net(IPv4((172u << 24) | (16u << 16) | (i << 8)), 24);
+        e.metric = 1 + i % 5;
+        response.entries.push_back(e);
+    }
+    const int sock = sender_fea.udp_open(
+        kRipPort, [](const std::string&, const fea::Datagram&) {});
+    ASSERT_TRUE(sender_fea.udp_send(sock, "right", IPv4::must_parse("10.0.1.2"),
+                                    kRipPort, encode_packet(response)));
+    loop.run_until([&] { return !captured.batch_sizes.empty(); }, 1s);
+    EXPECT_EQ(captured.batch_sizes,
+              std::vector<size_t>{kMaxEntriesPerPacket});
+
+    // The same routes one per batch leave the same winners.
+    ev::VirtualClock ref_clock;
+    ev::EventLoop ref_loop{ref_clock};
+    rib::Rib reference{ref_loop};
+    reference.add_route("rip", IPv4Net::must_parse("10.0.1.0/24"),
+                        IPv4::must_parse("10.0.1.2"), 1);
+    for (const RipEntry& e : response.entries)
+        reference.add_route("rip", e.net, IPv4::must_parse("10.0.1.1"),
+                            e.metric + 1);
+    ASSERT_EQ(rib.route_count(), reference.route_count());
+    for (const RipEntry& e : response.entries) {
+        auto got = rib.lookup_exact(e.net);
+        auto want = reference.lookup_exact(e.net);
+        ASSERT_TRUE(got.has_value()) << e.net.str();
+        ASSERT_TRUE(want.has_value()) << e.net.str();
+        EXPECT_TRUE(*got == *want) << e.net.str();
+    }
+}
